@@ -1,7 +1,7 @@
-//! Timer-service microbenches: the hierarchical wheel against the
-//! legacy scan-everything path, both on the raw structure (schedule /
-//! peek / pop) and through the engine (`next_wakeup` + `on_timer` with
-//! many on-tree groups — the per-wakeup cost a busy router pays).
+//! Timer-service microbenches: the hierarchical wheel on the raw
+//! structure (schedule / peek / pop) and through the engine
+//! (`next_wakeup` + `on_timer` with many on-tree groups — the
+//! per-wakeup cost a busy router pays).
 
 use cbt::timers::{TimerService, TimerWheel};
 use cbt::{CbtConfig, CbtRouter};
@@ -158,26 +158,22 @@ fn loaded_engine(cfg: CbtConfig, groups: usize) -> CbtRouter {
 /// Expiries are pushed out to "never" so the unanswered-echo regime
 /// stays a pure keepalive treadmill: every wakeup is one group's echo
 /// clock, re-armed an interval later, with the other N−1 groups idle.
-/// The wheel should hold near-flat across sizes; the scan pays the
-/// full FIB walk every time.
+/// The cost should hold near-flat across sizes.
 fn bench_engine_wakeup(c: &mut Criterion) {
     let forever = SimDuration::from_secs(1_000_000_000);
     for groups in [100usize, 1_000] {
-        for (mode, wheel) in [("wheel", true), ("scan", false)] {
-            c.bench_function(&format!("timers/engine_wakeup_{mode}_{groups}_groups"), |b| {
-                let cfg = CbtConfig {
-                    timer_wheel: wheel,
-                    echo_timeout: forever,
-                    child_assert_expire: forever,
-                    ..CbtConfig::default()
-                };
-                let mut e = loaded_engine(cfg, groups);
-                b.iter(|| {
-                    let t = e.next_wakeup().expect("echo clocks re-arm forever");
-                    black_box(e.on_timer(t))
-                })
-            });
-        }
+        c.bench_function(&format!("timers/engine_wakeup_wheel_{groups}_groups"), |b| {
+            let cfg = CbtConfig {
+                echo_timeout: forever,
+                child_assert_expire: forever,
+                ..CbtConfig::default()
+            };
+            let mut e = loaded_engine(cfg, groups);
+            b.iter(|| {
+                let t = e.next_wakeup().expect("echo clocks re-arm forever");
+                black_box(e.on_timer(t))
+            })
+        });
     }
 }
 

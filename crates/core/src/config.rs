@@ -63,12 +63,6 @@ pub struct CbtConfig {
     /// learn cores — "by means of network management"). Ordered,
     /// primary first. Consulted when no RP/Core-Report supplied a list.
     pub managed_mappings: HashMap<GroupId, Vec<Addr>>,
-    /// Drive timers from the hierarchical timer wheel (O(due entries)
-    /// per tick) instead of the legacy full-FIB scans. Behaviour is
-    /// bit-identical either way; the flag exists so the equivalence
-    /// suite and the `groupscale` experiment can pit both paths against
-    /// each other.
-    pub timer_wheel: bool,
     /// Group-space shards per router (see [`crate::shard`]). Defaults
     /// to the `CBT_SHARDS` environment variable, or 1 when unset, so
     /// the determinism suite can exercise sharded steering without code
@@ -108,7 +102,6 @@ impl Default for CbtConfig {
             aggregate_echoes: false,
             igmp: IgmpTimers::default(),
             managed_mappings: HashMap::new(),
-            timer_wheel: true,
             shards: crate::parallelism::NODE_SHARDS.with_default(1).resolve_lenient(),
             compact_idle: false,
             max_children: crate::fib::MAX_CHILDREN,

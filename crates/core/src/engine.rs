@@ -121,57 +121,6 @@ pub(crate) enum TimerKind {
     IffScan,
 }
 
-/// The engine's timer front-end: a [`TimerService`] when the wheel is
-/// enabled, a transparent no-op when the legacy scan path is in force
-/// (so call sites arm unconditionally and legacy mode pays nothing).
-pub(crate) struct EngineTimers {
-    svc: TimerService<TimerKind>,
-    /// Mirrors `CbtConfig::timer_wheel`.
-    pub(crate) enabled: bool,
-}
-
-impl EngineTimers {
-    fn new(now: SimTime, enabled: bool) -> Self {
-        EngineTimers { svc: TimerService::new(now), enabled }
-    }
-
-    /// (Re-)schedules `key` to fire at `deadline`.
-    pub(crate) fn arm(&mut self, key: TimerKind, deadline: SimTime) {
-        if self.enabled {
-            self.svc.arm(key, deadline);
-        }
-    }
-
-    /// Disarms `key`. Must be called wherever the state behind a timer
-    /// is removed outside its own service routine: `next_wakeup` must
-    /// be *exact* (the event loop's FIFO tie-break is part of the
-    /// bit-identity contract), so no disarmed deadline may linger at
-    /// the wheel head.
-    pub(crate) fn cancel(&mut self, key: TimerKind) {
-        if self.enabled {
-            self.svc.cancel(key);
-        }
-    }
-
-    fn pop_due_with_deadline(&mut self, now: SimTime) -> Vec<(TimerKind, SimTime)> {
-        self.svc.pop_due_with_deadline(now)
-    }
-
-    fn peek(&self) -> Option<SimTime> {
-        self.svc.peek()
-    }
-
-    /// Drains superseded/cancelled entries off the wheel head so the
-    /// next `peek` reports the earliest *valid* deadline. Called at the
-    /// end of every mutating engine entry point (`next_wakeup` itself
-    /// takes `&self` and cannot).
-    pub(crate) fn compact(&mut self) {
-        if self.enabled {
-            self.svc.compact();
-        }
-    }
-}
-
 /// The protocol state a router is in for one group, as the exploration
 /// harness classifies it. Each reachable phase is a distinct place to
 /// inject a fault: the §6.1/§9 machinery behaves differently in every
@@ -257,18 +206,21 @@ pub struct CbtRouter {
     pub(crate) reattach_started: BTreeMap<GroupId, SimTime>,
     pub(crate) next_child_sweep: SimTime,
     pub(crate) next_iff_scan: SimTime,
-    /// Deadline-driven timer service (see [`TimerKind`]); inert when
-    /// `cfg.timer_wheel` is off.
-    pub(crate) timers: EngineTimers,
+    /// Deadline-driven timer service (see [`TimerKind`]). Every state
+    /// removal outside a key's own service routine cancels the key, and
+    /// every mutating entry point ends with `compact`, so the wheel head
+    /// is always the earliest *valid* deadline and `next_wakeup` is
+    /// exact (the event loop's FIFO tie-break is part of the replay
+    /// contract).
+    pub(crate) timers: TimerService<TimerKind>,
     /// Parent address → groups currently parented through it. Keyed on
     /// address alone (a neighbour is one keepalive peer no matter how
-    /// many groups ride it), kept in both timer modes: the §8.4
-    /// aggregate-echo refresh walks it instead of rescanning the FIB.
+    /// many groups ride it): the §8.4 aggregate-echo refresh walks it
+    /// instead of rescanning the FIB.
     pub(crate) parent_index: BTreeMap<Addr, BTreeSet<GroupId>>,
     /// Child-liveness deadlines: `(last_heard + CHILD-ASSERT-EXPIRE,
-    /// group, child)`. Maintained only when the wheel is enabled; the
-    /// sweep pops due tuples and re-checks against the FIB, so stale
-    /// tuples for removed children are harmless.
+    /// group, child)`. The sweep pops due tuples and re-checks against
+    /// the FIB, so stale tuples for removed children are harmless.
     pub(crate) child_expiry: BTreeSet<(SimTime, GroupId, Addr)>,
     pub(crate) stats: RouterStats,
     /// Observability counters: the drop-reason taxonomy, per-group
@@ -325,7 +277,6 @@ impl CbtRouter {
                 );
             }
         }
-        let timers = EngineTimers::new(now, cfg.timer_wheel);
         let mut r = CbtRouter {
             me,
             id_addr: spec.addr,
@@ -345,7 +296,7 @@ impl CbtRouter {
             local_members: BTreeSet::new(),
             deferred_reattach: BTreeMap::new(),
             reattach_started: BTreeMap::new(),
-            timers,
+            timers: TimerService::new(now),
             parent_index: BTreeMap::new(),
             child_expiry: BTreeSet::new(),
             stats: RouterStats::default(),
@@ -387,7 +338,6 @@ impl CbtRouter {
             })
             .collect();
         let my_addrs: BTreeSet<Addr> = [id_addr].into_iter().collect();
-        let timers = EngineTimers::new(now, cfg.timer_wheel);
         let mut r = CbtRouter {
             me,
             id_addr,
@@ -407,7 +357,7 @@ impl CbtRouter {
             local_members: BTreeSet::new(),
             deferred_reattach: BTreeMap::new(),
             reattach_started: BTreeMap::new(),
-            timers,
+            timers: TimerService::new(now),
             parent_index: BTreeMap::new(),
             child_expiry: BTreeSet::new(),
             stats: RouterStats::default(),
@@ -783,61 +733,15 @@ impl CbtRouter {
         }
     }
 
-    /// Advances every timer that has come due.
-    pub fn on_timer(&mut self, now: SimTime) -> Vec<RouterAction> {
-        if self.cfg.timer_wheel {
-            self.on_timer_wheel(now)
-        } else {
-            self.on_timer_scan(now)
-        }
-    }
-
-    /// Legacy timer service: scan every piece of state for due work.
-    /// Kept as the O(groups) reference the wheel path must match
-    /// bit-for-bit (`cfg.timer_wheel = false`).
-    fn on_timer_scan(&mut self, now: SimTime) -> Vec<RouterAction> {
-        let mut act = Vec::new();
-        // IGMP querier duty + presence expiry per LAN.
-        let lan_ids: Vec<IfIndex> = self.lans.keys().copied().collect();
-        for iface in lan_ids {
-            let (sends, events) = {
-                let lan = self.lans.get_mut(&iface).expect("listed");
-                let sends: Vec<IgmpOut> = lan.election.poll(now);
-                let events = lan.presence.poll(now);
-                (sends, events)
-            };
-            for s in sends {
-                act.push(RouterAction::SendIgmp { iface, dst: s.dst, msg: s.msg });
-            }
-            for ev in events {
-                self.on_presence_event(now, iface, ev, &mut act);
-            }
-        }
-        self.service_deferred_reattach(now, &mut act);
-        self.service_pending_joins(now, &mut act);
-        self.service_keepalives(now, &mut act);
-        self.service_pending_quits(now, &mut act);
-        if now >= self.next_child_sweep {
-            self.sweep_children(now, &mut act);
-            self.next_child_sweep = now + self.cfg.child_assert_interval;
-        }
-        if now >= self.next_iff_scan {
-            self.iff_scan(now, &mut act);
-            self.next_iff_scan = now + self.cfg.iff_scan_interval;
-        }
-        act
-    }
-
-    /// Wheel-driven timer service: pop the due entries, bucket them by
-    /// kind, then run the same seven phases in the same order as the
-    /// scan path — but each phase visits only its due candidates.
+    /// Advances every timer that has come due: pop the due entries,
+    /// bucket them by kind, then run seven phases in a fixed order,
+    /// each visiting only its due candidates.
     ///
     /// Every candidate is re-checked against the authoritative state
     /// (`pending`, `deferred_reattach`, the FIB…) before acting, so a
     /// stale or early entry degenerates to a no-op (plus a lazy re-arm
-    /// where the true deadline moved later) and never produces an
-    /// action the scan path would not.
-    fn on_timer_wheel(&mut self, now: SimTime) -> Vec<RouterAction> {
+    /// where the true deadline moved later) and never acts early.
+    pub fn on_timer(&mut self, now: SimTime) -> Vec<RouterAction> {
         let mut act = Vec::new();
         let mut lan_due: BTreeSet<IfIndex> = BTreeSet::new();
         let mut reattach_due: BTreeSet<GroupId> = BTreeSet::new();
@@ -905,19 +809,19 @@ impl CbtRouter {
             }
         }
         // Phase 4: parent keepalives.
-        self.service_keepalives_wheel(now, echo_cand, &mut act);
+        self.service_keepalives(now, echo_cand, &mut act);
         // Phase 5: pending-quit retransmits.
         for group in quit_due {
             if self.pending_quits.get(&group).is_some_and(|q| q.next_send <= now) {
                 self.service_pending_quit_group(now, group, &mut act);
             }
         }
-        // Phase 6: child-liveness sweep (cadence-gated, like the scan).
+        // Phase 6: child-liveness sweep (cadence-gated).
         // Under compact_idle the sweep re-arms only while deadlines
         // remain; the next tracked child re-arms it (`track_child_expiry`).
         if sweep_due {
             if now >= self.next_child_sweep {
-                self.sweep_children_wheel(now, &mut act);
+                self.sweep_children(now, &mut act);
                 self.next_child_sweep = now + self.cfg.child_assert_interval;
             }
             if !self.cfg.compact_idle || !self.child_expiry.is_empty() {
@@ -941,37 +845,18 @@ impl CbtRouter {
         act
     }
 
-    /// Earliest instant any internal timer wants service.
+    /// Earliest instant any internal timer wants service: a peek at
+    /// the wheel head.
     ///
-    /// With the wheel enabled this is a peek at the wheel head, and it
-    /// is *exact*: every mutating entry point ends by compacting stale
-    /// entries off the head, and every state removal cancels its key,
-    /// so the head always carries the earliest valid deadline. This
-    /// matters beyond efficiency — `netsim` breaks same-instant event
-    /// ties in scheduling order, so a spurious early wake would
-    /// reshuffle a router against its peers and break bit-identity
-    /// with the scan engine.
+    /// It is *exact*: every mutating entry point ends by compacting
+    /// stale entries off the head, and every state removal cancels its
+    /// key, so the head always carries the earliest valid deadline.
+    /// This matters beyond efficiency — `netsim` breaks same-instant
+    /// event ties in scheduling order, so a spurious early wake would
+    /// reshuffle a router against its peers and change the replayed
+    /// event stream.
     pub fn next_wakeup(&self) -> Option<SimTime> {
-        if self.cfg.timer_wheel {
-            return self.timers.peek();
-        }
-        let mut earliest: Option<SimTime> = None;
-        let mut consider = |t: Option<SimTime>| {
-            if let Some(t) = t {
-                earliest = Some(earliest.map_or(t, |e: SimTime| e.min(t)));
-            }
-        };
-        for lan in self.lans.values() {
-            consider(Some(lan.election.next_wakeup()));
-            consider(lan.presence.next_wakeup());
-        }
-        consider(self.pending.next_wakeup());
-        consider(self.deferred_reattach.values().map(|(t, _)| *t).min());
-        consider(self.next_echo_deadline());
-        consider(self.pending_quits.values().map(|q| q.next_send).min());
-        consider(Some(self.next_child_sweep));
-        consider(Some(self.next_iff_scan));
-        earliest
+        self.timers.peek()
     }
 
     // ------------------------------------------------------------------
@@ -982,9 +867,6 @@ impl CbtRouter {
     /// deadlines. Called wherever those deadlines can change: after
     /// every `handle_igmp` and after each phase-1 poll.
     pub(crate) fn arm_lan(&mut self, iface: IfIndex) {
-        if !self.timers.enabled {
-            return;
-        }
         if let Some(lan) = self.lans.get(&iface) {
             let mut d = lan.election.next_wakeup();
             if let Some(p) = lan.presence.next_wakeup() {
@@ -998,9 +880,6 @@ impl CbtRouter {
     /// timeout failure instant, whichever comes first. No-op without a
     /// parent.
     pub(crate) fn arm_echo(&mut self, group: GroupId) {
-        if !self.timers.enabled {
-            return;
-        }
         let Some(p) = self.fib.get(group).and_then(|e| e.parent) else { return };
         let d = p.next_echo.min(p.last_reply + self.cfg.echo_timeout);
         self.timers.arm(TimerKind::Echo(group), d);

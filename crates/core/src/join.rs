@@ -477,19 +477,15 @@ impl CbtRouter {
         // Normal ack: the previous hop becomes a child (§8.3: "it is
         // the receipt of a JOIN-ACK that actually creates a branch" —
         // state on our side is created when we *send* one).
-        let old_heard = if self.timers.enabled {
-            self.fib.get(group).and_then(|e| {
-                e.children.iter().find(|c| c.addr == join.from_addr).map(|c| c.last_heard)
-            })
-        } else {
-            None
-        };
+        let old_heard = self.fib.get(group).and_then(|e| {
+            e.children.iter().find(|c| c.addr == join.from_addr).map(|c| c.last_heard)
+        });
         let full = {
             let cap = self.cfg.max_children;
             let entry = self.fib.entry(group);
             !entry.add_child_capped(join.from_addr, join.from_iface, now, cap)
         };
-        if !full && self.timers.enabled {
+        if !full {
             let expire = self.cfg.child_assert_expire;
             if let Some(h) = old_heard {
                 self.child_expiry.remove(&(h + expire, group, join.from_addr));
@@ -779,15 +775,8 @@ impl CbtRouter {
         }
     }
 
-    /// Retransmission / core-switch / expiry service for pending joins.
-    pub(crate) fn service_pending_joins(&mut self, now: SimTime, act: &mut Vec<RouterAction>) {
-        for group in self.pending.due(now) {
-            self.service_pending_join_group(now, group, act);
-        }
-    }
-
-    /// Services one due pending join — the shared body behind both the
-    /// legacy scan and the wheel's per-candidate dispatch.
+    /// Retransmission / core-switch / expiry service for one due
+    /// pending join.
     pub(crate) fn service_pending_join_group(
         &mut self,
         now: SimTime,
@@ -819,20 +808,6 @@ impl CbtRouter {
                 pm.next_retransmit = now + interval;
             }
             self.timers.arm(TimerKind::PendingJoin(group), now + interval);
-        }
-    }
-
-    /// Fires re-attachments whose post-loop backoff has elapsed.
-    pub(crate) fn service_deferred_reattach(&mut self, now: SimTime, act: &mut Vec<RouterAction>) {
-        let due: Vec<(GroupId, usize)> = self
-            .deferred_reattach
-            .iter()
-            .filter(|(_, (t, _))| *t <= now)
-            .map(|(g, (_, idx))| (*g, *idx))
-            .collect();
-        for (group, idx) in due {
-            self.deferred_reattach.remove(&group);
-            self.start_reattach(now, group, idx, act);
         }
     }
 

@@ -10,38 +10,11 @@ use cbt_wire::{Addr, ControlMessage, GroupId};
 use std::collections::{BTreeMap, BTreeSet};
 
 impl CbtRouter {
-    /// Earliest echo-related deadline (for `next_wakeup`).
-    pub(crate) fn next_echo_deadline(&self) -> Option<SimTime> {
-        self.fib
-            .iter()
-            .filter_map(|(_, e)| e.parent)
-            .map(|p| p.next_echo.min(p.last_reply + self.cfg.echo_timeout))
-            .min()
-    }
-
-    /// Sends due echo requests and detects parent failures (legacy
-    /// full-FIB scan; the wheel path feeds the same worker from its due
-    /// candidates in [`CbtRouter::service_keepalives_wheel`]).
-    pub(crate) fn service_keepalives(&mut self, now: SimTime, act: &mut Vec<RouterAction>) {
-        // Pass 1: which groups need an echo, which parents have timed out.
-        let mut echo_due: Vec<(GroupId, IfIndex, Addr)> = Vec::new();
-        let mut failed: Vec<GroupId> = Vec::new();
-        for (g, e) in self.fib.iter() {
-            let Some(p) = e.parent else { continue };
-            if now.since(p.last_reply) >= self.cfg.echo_timeout {
-                failed.push(g);
-            } else if now >= p.next_echo {
-                echo_due.push((g, p.iface, p.addr));
-            }
-        }
-        self.run_echoes(now, echo_due, failed, act);
-    }
-
-    /// Wheel-side keepalive service: the same classification as the
-    /// legacy pass 1, applied only to the due candidates. A candidate
-    /// whose true deadline moved later (its parent answered an echo
-    /// since the entry was armed) is silently re-armed.
-    pub(crate) fn service_keepalives_wheel(
+    /// Sends due echo requests and detects parent failures among the
+    /// due candidates. A candidate whose true deadline moved later (its
+    /// parent answered an echo since the entry was armed) is silently
+    /// re-armed.
+    pub(crate) fn service_keepalives(
         &mut self,
         now: SimTime,
         candidates: BTreeSet<GroupId>,
@@ -63,8 +36,7 @@ impl CbtRouter {
     }
 
     /// Sends the echoes for the already-classified due groups and kicks
-    /// off re-attachment for failed parents — shared by both timer
-    /// paths, so behaviour (message set *and* order) is identical.
+    /// off re-attachment for failed parents.
     fn run_echoes(
         &mut self,
         now: SimTime,
@@ -158,7 +130,6 @@ impl CbtRouter {
                 .map(|(g, _)| g)
                 .collect(),
         };
-        let wheel = self.timers.enabled;
         let expire = self.cfg.child_assert_expire;
         for g in matching {
             if let Some(e) = self.fib.get_mut(g) {
@@ -166,10 +137,8 @@ impl CbtRouter {
                     let old_heard = c.last_heard;
                     c.last_heard = now;
                     refreshed_any = true;
-                    if wheel {
-                        self.child_expiry.remove(&(old_heard + expire, g, src));
-                        self.child_expiry.insert((now + expire, g, src));
-                    }
+                    self.child_expiry.remove(&(old_heard + expire, g, src));
+                    self.child_expiry.insert((now + expire, g, src));
                 }
             }
         }
@@ -227,28 +196,12 @@ impl CbtRouter {
     }
 
     /// §9 CHILD-ASSERT: drop children that have stopped sending echoes.
+    /// Pops the due `(deadline, group, child)` tuples and prunes just
+    /// those groups. Tuples are exact (every `last_heard` refresh
+    /// re-files its tuple), so a group with no due tuple cannot hold an
+    /// expired child; orphan tuples for already-removed children pop as
+    /// no-ops.
     pub(crate) fn sweep_children(&mut self, now: SimTime, act: &mut Vec<RouterAction>) {
-        let expire = self.cfg.child_assert_expire;
-        let mut affected: Vec<GroupId> = Vec::new();
-        for (g, e) in self.fib.iter_mut() {
-            let before = e.children.len();
-            e.children.retain(|c| now.since(c.last_heard) < expire);
-            if e.children.len() != before {
-                affected.push(g);
-            }
-        }
-        for g in affected {
-            // Losing the last child may make us quittable (§2.7).
-            self.maybe_quit(now, g, act);
-        }
-    }
-
-    /// Wheel-side child-assert sweep: pop the due `(deadline, group,
-    /// child)` tuples and run the exact legacy `retain` on just those
-    /// groups. Tuples are exact (every `last_heard` refresh re-files
-    /// its tuple), so a group with no due tuple cannot hold an expired
-    /// child; orphan tuples for already-removed children pop as no-ops.
-    pub(crate) fn sweep_children_wheel(&mut self, now: SimTime, act: &mut Vec<RouterAction>) {
         let expire = self.cfg.child_assert_expire;
         let mut candidates: BTreeSet<GroupId> = BTreeSet::new();
         while let Some(first) = self.child_expiry.first().copied() {

@@ -91,22 +91,8 @@ impl CbtRouter {
         self.timers.cancel(TimerKind::Quit(group));
     }
 
-    /// Retransmits unacknowledged quits; gives up after the configured
-    /// retries (parent state is already gone, §8.3).
-    pub(crate) fn service_pending_quits(&mut self, now: SimTime, act: &mut Vec<RouterAction>) {
-        let due: Vec<GroupId> = self
-            .pending_quits
-            .iter()
-            .filter(|(_, q)| q.next_send <= now)
-            .map(|(g, _)| *g)
-            .collect();
-        for group in due {
-            self.service_pending_quit_group(now, group, act);
-        }
-    }
-
-    /// Services one due pending quit — the shared body behind both the
-    /// legacy scan and the wheel's per-candidate dispatch.
+    /// Retransmits one due unacknowledged quit; gives up after the
+    /// configured retries (parent state is already gone, §8.3).
     pub(crate) fn service_pending_quit_group(
         &mut self,
         now: SimTime,

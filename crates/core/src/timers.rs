@@ -1,12 +1,11 @@
 //! Hierarchical timer wheel: O(due) timer service for the engine.
 //!
-//! The scan-based engine recomputes `next_wakeup` and services timers
-//! by walking the *entire* FIB (plus every pending-join, pending-quit
-//! and deferred-reattach map) on every `on_timer` call. That is O(N)
-//! per wakeup in resident group state — exactly the cost CBT's
-//! per-group state model is supposed to avoid. This module provides a
-//! classic hashed-and-hierarchical timing wheel (Varghese & Lauck)
-//! keyed on [`SimTime`]:
+//! Servicing timers by walking the *entire* FIB (plus every
+//! pending-join, pending-quit and deferred-reattach map) on every
+//! `on_timer` call costs O(N) per wakeup in resident group state —
+//! exactly the cost CBT's per-group state model is supposed to avoid.
+//! This module provides a classic hashed-and-hierarchical timing wheel
+//! (Varghese & Lauck) keyed on [`SimTime`]:
 //!
 //! * [`TimerWheel`] — 4 levels × 64 slots, one level-0 tick ≈ 1 ms
 //!   (`µs >> 10`), total in-wheel span 2³⁴ µs ≈ 4.77 h, with an
@@ -22,8 +21,8 @@
 //!
 //! Ordering contract: `pop_due` returns entries sorted by
 //! `(deadline, insertion order)` — same-deadline entries pop FIFO —
-//! so a deadline-driven engine can reproduce the scan-based engine's
-//! deterministic service order bit-for-bit.
+//! so a deadline-driven engine services timers in a deterministic
+//! order (the one the determinism suite's golden digests pin).
 
 use cbt_netsim::SimTime;
 use std::collections::BTreeMap;

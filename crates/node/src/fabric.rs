@@ -8,10 +8,7 @@
 //! Data-plane properties (see DESIGN.md "Data-plane architecture"):
 //! - **Zero-copy fan-out** — a [`Transmit`] already owns its frame as
 //!   refcounted [`Bytes`]; delivery clones the handle per recipient
-//!   (a refcount bump), never the payload. The optional legacy mode
-//!   (`DataPlaneConfig::copy_per_recipient`) re-materializes each
-//!   recipient's copy the way the pre-batching fabric did, so the
-//!   `dataplane` experiment can measure both paths in one harness.
+//!   (a refcount bump), never the payload.
 //! - **Bounded inboxes** — every node inbox is a bounded channel; when
 //!   a receiver falls behind, frames are dropped and counted instead
 //!   of growing an unbounded queue (a real router sheds load, it does
@@ -120,6 +117,10 @@ pub struct RxFrame {
     pub frame: Bytes,
 }
 
+/// How many queued frames a node task drains per wakeup before
+/// flushing its outbox.
+pub(crate) const RX_BATCH: usize = 64;
+
 /// Tuning knobs for the live data plane, shared by the channel fabric,
 /// the UDP fabric and the node task loops.
 #[derive(Debug, Clone, Copy)]
@@ -127,26 +128,11 @@ pub struct DataPlaneConfig {
     /// Bounded inbox capacity per node; beyond it frames are dropped
     /// and counted ([`FabricStats::dropped_overflow`]).
     pub inbox_capacity: usize,
-    /// How many queued frames a node task drains per wakeup before
-    /// flushing its outbox (1 = wake-per-packet, the legacy behavior).
-    pub rx_batch: usize,
-    /// Copy the frame per recipient instead of fanning out refcounted
-    /// handles — the pre-batching behavior, kept as a measurable
-    /// baseline for the `dataplane` experiment.
-    pub copy_per_recipient: bool,
 }
 
 impl Default for DataPlaneConfig {
     fn default() -> Self {
-        DataPlaneConfig { inbox_capacity: 2048, rx_batch: 64, copy_per_recipient: false }
-    }
-}
-
-impl DataPlaneConfig {
-    /// The pre-batching data plane: per-recipient frame copies and
-    /// one inbox frame handled per task wakeup.
-    pub fn legacy() -> Self {
-        DataPlaneConfig { inbox_capacity: 1024, rx_batch: 1, copy_per_recipient: true }
+        DataPlaneConfig { inbox_capacity: 2048 }
     }
 }
 
@@ -223,7 +209,6 @@ pub struct Fabric {
     net: Arc<NetworkSpec>,
     inboxes: HashMap<Entity, Vec<mpsc::Sender<RxFrame>>>,
     counters: Arc<FabricCounters>,
-    copy_per_recipient: bool,
 }
 
 impl Fabric {
@@ -269,7 +254,7 @@ impl Fabric {
             rxs.insert(Entity::Host(HostId(i as u32)), vec![rx]);
         }
         let counters = Arc::new(FabricCounters::for_net(&net));
-        let fabric = Fabric { net, inboxes, counters, copy_per_recipient: dp.copy_per_recipient };
+        let fabric = Fabric { net, inboxes, counters };
         (Arc::new(fabric), rxs)
     }
 
@@ -356,10 +341,7 @@ impl Fabric {
 
     fn deliver(&self, to: Entity, iface: IfIndex, link_src: cbt_wire::Addr, frame: &Bytes) {
         let Some(txs) = self.inboxes.get(&to) else { return };
-        // Fast path: clone the refcounted handle. Legacy path: deep
-        // copy per recipient, as the pre-batching fabric did.
-        let frame =
-            if self.copy_per_recipient { Bytes::from(frame.to_vec()) } else { frame.clone() };
+        let frame = frame.clone();
         // Single-inbox entities (hosts, or shards = 1) skip the peek.
         if txs.len() == 1 {
             self.enqueue(&txs[0], to, RxFrame { iface, link_src, frame });
@@ -465,18 +447,6 @@ mod tests {
         let b = rxs.get_mut(&Entity::Host(h)).unwrap().try_recv().unwrap();
         assert!(a.frame.shares_allocation_with(&t.frame), "handle, not copy");
         assert!(b.frame.shares_allocation_with(&t.frame), "handle, not copy");
-    }
-
-    /// Legacy mode really does copy (the measurable baseline).
-    #[tokio::test]
-    async fn legacy_mode_copies_per_recipient() {
-        let (net, r0, r1, _) = lan_pair();
-        let (fabric, mut rxs) = Fabric::with_config(net, DataPlaneConfig::legacy());
-        let t = Transmit { iface: IfIndex(0), link_dst: None, frame: frame(&[5; 64]) };
-        fabric.dispatch(Entity::Router(r0), &t);
-        let a = rxs.get_mut(&Entity::Router(r1)).unwrap().try_recv().unwrap();
-        assert_eq!(a.frame, t.frame);
-        assert!(!a.frame.shares_allocation_with(&t.frame), "legacy copies");
     }
 
     /// Every frame class the live plane carries steers to the shard
@@ -599,7 +569,7 @@ mod tests {
     async fn overflow_is_dropped_and_counted() {
         let (net, r0, r1, _) = lan_pair();
         let r1_addr = net.routers[r1.0 as usize].ifaces[0].addr;
-        let dp = DataPlaneConfig { inbox_capacity: 4, ..Default::default() };
+        let dp = DataPlaneConfig { inbox_capacity: 4 };
         let (fabric, mut rxs) = Fabric::with_config(net, dp);
         let t = Transmit { iface: IfIndex(0), link_dst: Some(r1_addr), frame: frame(&[1]) };
         for _ in 0..10 {

@@ -2,12 +2,12 @@
 //! timers, command/query channels for the application layer.
 //!
 //! The node task loops are the live data plane's hot path: each wakeup
-//! drains up to [`DataPlaneConfig::rx_batch`] queued frames through
-//! the engine before flushing the outbox, and the outbox is drained
-//! into a reused scratch buffer ([`Outbox::drain_into`]) so steady
-//! state forwards without per-wakeup allocations.
+//! drains up to `RX_BATCH` queued frames through the engine before
+//! flushing the outbox, and the outbox is drained into a reused
+//! scratch buffer ([`Outbox::drain_into`]) so steady state forwards
+//! without per-wakeup allocations.
 
-use crate::fabric::{DataPlaneConfig, Fabric, FabricCounters, FabricStats, RxFrame};
+use crate::fabric::{DataPlaneConfig, Fabric, FabricCounters, FabricStats, RxFrame, RX_BATCH};
 use cbt::{CbtConfig, HostApp, RouterNode, SharedRib};
 use cbt_netsim::{Entity, Outbox, SimNode, SimTime, Transmit};
 use cbt_topology::{HostId, NetworkSpec, RouterId};
@@ -95,21 +95,14 @@ pub struct LiveNet {
 }
 
 impl LiveNet {
-    /// Spawns every router and host of `net` as tokio tasks, with the
-    /// default (batched, zero-copy) data plane.
+    /// Spawns every router and host of `net` as tokio tasks.
     pub fn spawn(net: NetworkSpec, cfg: CbtConfig) -> LiveNet {
-        LiveNet::spawn_with(net, cfg, DataPlaneConfig::default())
-    }
-
-    /// Spawns with explicit data-plane tuning (the `dataplane`
-    /// experiment uses this to measure legacy vs batched in the same
-    /// harness).
-    pub fn spawn_with(net: NetworkSpec, cfg: CbtConfig, dp: DataPlaneConfig) -> LiveNet {
         let shards = cfg.shards.max(1);
         let net = Arc::new(net);
         let epoch = Instant::now();
         let (_rib, make_rib) = SharedRib::build(net.clone());
-        let (fabric, mut rxs) = Fabric::with_shards(net.clone(), dp, shards);
+        let (fabric, mut rxs) =
+            Fabric::with_shards(net.clone(), DataPlaneConfig::default(), shards);
         let counters = fabric.counters().clone();
 
         let mut tasks = Vec::new();
@@ -137,7 +130,6 @@ impl LiveNet {
                     rx,
                     cmd_rx,
                     epoch,
-                    dp,
                 )));
             }
             router_cmds.insert(me, cmd_txs);
@@ -159,7 +151,6 @@ impl LiveNet {
                 rx,
                 cmd_rx,
                 epoch,
-                dp,
             )));
         }
         LiveNet { net, epoch, host_cmds, router_cmds, counters, tasks }
@@ -278,7 +269,6 @@ async fn router_task(
     mut rx: mpsc::Receiver<RxFrame>,
     mut cmds: mpsc::UnboundedReceiver<RouterCmd>,
     epoch: Instant,
-    dp: DataPlaneConfig,
 ) {
     let mut out = Outbox::new();
     let mut txs: Vec<Transmit> = Vec::new();
@@ -309,7 +299,7 @@ async fn router_task(
                 // engine before flushing, so a burst pays one wakeup
                 // and one outbox flush, not one per packet.
                 let mut n = 1;
-                while n < dp.rx_batch {
+                while n < RX_BATCH {
                     let Ok(f) = rx.try_recv() else { break };
                     node.on_packet(now, f.iface, f.link_src, &f.frame, &mut out);
                     n += 1;
@@ -334,7 +324,6 @@ async fn host_task(
     mut rx: mpsc::Receiver<RxFrame>,
     mut cmds: mpsc::UnboundedReceiver<HostCmd>,
     epoch: Instant,
-    dp: DataPlaneConfig,
 ) {
     let mut out = Outbox::new();
     let mut txs: Vec<Transmit> = Vec::new();
@@ -377,7 +366,7 @@ async fn host_task(
                 let now = instant_to_sim(epoch, Instant::now());
                 app.on_packet(now, f.iface, f.link_src, &f.frame, &mut out);
                 let mut n = 1;
-                while n < dp.rx_batch {
+                while n < RX_BATCH {
                     let Ok(f) = rx.try_recv() else { break };
                     app.on_packet(now, f.iface, f.link_src, &f.frame, &mut out);
                     n += 1;
@@ -483,26 +472,6 @@ mod tests {
         let snap = live.router_snapshot(r0, group).await.unwrap();
         assert!(snap.stats.echo_requests_sent >= 2, "{snap:?}");
         assert_eq!(snap.stats.parent_failures, 0, "parent stayed alive");
-        live.shutdown();
-    }
-
-    /// The legacy (copy-per-recipient, wake-per-packet) data plane is
-    /// still a correct data plane — the experiment baseline must pass
-    /// the same end-to-end delivery check as the batched one.
-    #[tokio::test(start_paused = true)]
-    async fn legacy_data_plane_still_delivers() {
-        let (net, _r0, r1, _r2, a, bb) = chain();
-        let core = net.router_addr(r1);
-        let group = GroupId::numbered(8);
-        let live = LiveNet::spawn_with(net, CbtConfig::fast(), DataPlaneConfig::legacy());
-        live.host_join(a, group, vec![core]);
-        live.host_join(bb, group, vec![core]);
-        tokio::time::sleep(Duration::from_secs(3)).await;
-        live.host_send(bb, group, b"legacy".to_vec(), 16);
-        tokio::time::sleep(Duration::from_secs(1)).await;
-        let got = live.host_received(a).await.expect("host alive");
-        assert_eq!(got.len(), 1, "{got:?}");
-        assert_eq!(got[0].payload, b"legacy");
         live.shutdown();
     }
 

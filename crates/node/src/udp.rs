@@ -492,7 +492,7 @@ mod tests {
     #[tokio::test]
     async fn per_node_overflow_has_exact_reason_counts() {
         let net = pair();
-        let dp = DataPlaneConfig { inbox_capacity: 4, ..Default::default() };
+        let dp = DataPlaneConfig { inbox_capacity: 4 };
         let (fabric, _rxs) = UdpFabric::bind_with(net.clone(), dp).await.unwrap();
         let r1 = Entity::Router(RouterId(1));
         let r1_peer = fabric.peers[&r1];
