@@ -10,7 +10,7 @@
 //! live inside [`soak::fault_regression`]; these tests pin the scale
 //! and the cross-shard determinism on top.
 
-use cbt_eval::experiments::soak;
+use cbt_eval::experiments::soak::{self, FaultSummary};
 use cbt_topology::generate::TransitStubParams;
 
 /// 2 × 4 × (1 + 3·40) = 968 routers — the same ~1k gate shape the
@@ -22,9 +22,25 @@ const TOPO: TransitStubParams = TransitStubParams {
     stub_size: 40,
 };
 
+/// The full outcome of the gate at seed 6262, committed as a golden
+/// and identical under `CBT_SHARDS=1` and `=2`.
+const GOLDEN: FaultSummary = FaultSummary {
+    routers: 968,
+    members: 252,
+    detached: 45,
+    reattached: 45,
+    kicks: 0,
+    rib_version: 2,
+    converge_us: 7_000_000,
+    dropped_link_down: 12,
+    total_frames: 25_004,
+    silent_us: 54_000_000,
+};
+
 #[test]
 fn a_flapped_tree_link_reattaches_every_member_at_1k_routers() {
     let s = soak::fault_regression(TOPO, 8, 32, None, 6262);
+    assert_eq!(s, GOLDEN);
     assert_eq!(s.routers, 968);
     assert!(s.members > 0);
     // The fault actually severed somebody, and every one of them came

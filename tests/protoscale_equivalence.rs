@@ -9,7 +9,7 @@
 //! [`protoscale::equivalence`]; these tests pin the scale and the
 //! cross-shard determinism on top.
 
-use cbt_eval::experiments::protoscale;
+use cbt_eval::experiments::protoscale::{self, EquivSummary};
 use cbt_topology::generate::TransitStubParams;
 
 /// 2 × 4 × (1 + 3·40) = 968 routers — the ~1k gate from the Impl-5
@@ -22,9 +22,23 @@ const TOPO: TransitStubParams = TransitStubParams {
     stub_size: 40,
 };
 
+/// The full outcome of the gate at seed 9393, committed as a golden
+/// and identical under `CBT_SHARDS=1` and `=2`.
+const GOLDEN: EquivSummary = EquivSummary {
+    routers: 968,
+    groups: 8,
+    members: 251,
+    tree_edges: 980,
+    join_frames: 1960,
+    total_frames: 3920,
+    settle_us: 2_251_000,
+    silent_us: 27_000_000,
+};
+
 #[test]
 fn live_engines_rebuild_the_analytic_tree_at_1k_routers() {
     let eq = protoscale::equivalence(TOPO, 8, 32, None, 9393);
+    assert_eq!(eq, GOLDEN);
     assert_eq!(eq.routers, 968);
     assert_eq!(eq.groups, 8);
     assert!(eq.members > 0);
@@ -43,9 +57,5 @@ fn equivalence_is_deterministic_across_engine_shards() {
     // Group-space sharding is an internal engine detail: the wire
     // behaviour — frame counts, tree shape, settle and silence
     // instants — must not move by a single microsecond or frame.
-    assert_eq!(one.tree_edges, two.tree_edges);
-    assert_eq!(one.join_frames, two.join_frames);
-    assert_eq!(one.total_frames, two.total_frames);
-    assert_eq!(one.settle_us, two.settle_us);
-    assert_eq!(one.silent_us, two.silent_us);
+    assert_eq!(one, two);
 }
