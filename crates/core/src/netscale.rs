@@ -50,13 +50,13 @@ pub fn addr_node(a: Addr) -> u32 {
 /// never send a join anywhere else. Any other destination reports
 /// unreachable.
 ///
-/// A rib built with [`FleetRib::repairable`] keeps its SPF trees and
-/// can be patched in place after a liveness change via
-/// [`FleetRib::apply_removals`] / [`FleetRib::apply_additions`] —
-/// PR 8's incremental repair, table columns rebuilt from the repaired
-/// trees. Repairs happen between world event-loop steps under the
-/// write lock, so every engine sees one consistent table version per
-/// step; [`FleetRib::version`] names it.
+/// The rib keeps its SPF trees and is patched in place after a
+/// liveness change via [`FleetRib::apply_removals`] /
+/// [`FleetRib::apply_additions`] — incremental SPF repair, table
+/// columns rebuilt from the repaired trees. Repairs happen between
+/// world event-loop steps under the write lock, so every engine sees
+/// one consistent table version per step; [`FleetRib::version`] names
+/// it.
 pub struct FleetRib {
     /// Core addresses, sorted for binary search.
     cores: Vec<Addr>,
@@ -64,9 +64,8 @@ pub struct FleetRib {
     core_nodes: Vec<u32>,
     /// Per core (parallel to `cores`): flat per-node columns.
     tables: Vec<CoreTable>,
-    /// The SPF trees behind `tables`, kept only by repairable ribs
-    /// (parallel to `cores`).
-    trees: Option<Vec<SpfTree>>,
+    /// The SPF trees behind `tables` (parallel to `cores`).
+    trees: Vec<SpfTree>,
     /// Bumped once per applied liveness event.
     version: u64,
 }
@@ -112,48 +111,20 @@ fn build_table(graph: &CsrGraph, core: u32, tree: &SpfTree) -> CoreTable {
 }
 
 impl FleetRib {
-    /// Builds a fixed (non-repairable) rib from one SPF tree per core.
-    /// `core_nodes` are the fleet node-ids of the cores; trees must be
-    /// rooted at them (same order) and computed over `graph` — the
-    /// exact graph the netscale world was wired from.
-    pub fn new(graph: &CsrGraph, core_nodes: &[u32], trees: &[SpfTree]) -> Self {
-        assert_eq!(core_nodes.len(), trees.len(), "one SPF tree per core");
-        let mut entries: Vec<(Addr, u32, CoreTable)> = core_nodes
-            .iter()
-            .zip(trees)
-            .map(|(&c, tree)| (node_addr(c), c, build_table(graph, c, tree)))
-            .collect();
-        entries.sort_by_key(|&(a, _, _)| a);
-        let mut cores = Vec::with_capacity(entries.len());
-        let mut nodes = Vec::with_capacity(entries.len());
-        let mut tables = Vec::with_capacity(entries.len());
-        for (a, c, t) in entries {
-            cores.push(a);
-            nodes.push(c);
-            tables.push(t);
-        }
-        FleetRib { cores, core_nodes: nodes, tables, trees: None, version: 0 }
-    }
-
-    /// Builds a repairable rib: the SPF trees are retained (sorted to
-    /// match the core order) so liveness events can patch routes in
-    /// place instead of rebuilding from scratch.
+    /// Builds the rib from one SPF tree per core. `core_nodes` are the
+    /// fleet node-ids of the cores; trees must be rooted at them (same
+    /// order) and computed over `graph` — the exact graph the netscale
+    /// world was wired from. The trees are retained (sorted to match
+    /// the core order) so liveness events can patch routes in place
+    /// instead of rebuilding from scratch.
     pub fn repairable(graph: &CsrGraph, core_nodes: &[u32], trees: Vec<SpfTree>) -> Self {
         assert_eq!(core_nodes.len(), trees.len(), "one SPF tree per core");
-        let mut entries: Vec<(Addr, u32, SpfTree)> =
-            core_nodes.iter().zip(trees).map(|(&c, tree)| (node_addr(c), c, tree)).collect();
-        entries.sort_by_key(|&(a, _, _)| a);
-        let mut cores = Vec::with_capacity(entries.len());
-        let mut nodes = Vec::with_capacity(entries.len());
-        let mut tables = Vec::with_capacity(entries.len());
-        let mut kept = Vec::with_capacity(entries.len());
-        for (a, c, tree) in entries {
-            tables.push(build_table(graph, c, &tree));
-            cores.push(a);
-            nodes.push(c);
-            kept.push(tree);
-        }
-        FleetRib { cores, core_nodes: nodes, tables, trees: Some(kept), version: 0 }
+        let mut entries: Vec<(Addr, (u32, SpfTree))> =
+            core_nodes.iter().zip(trees).map(|(&c, tree)| (node_addr(c), (c, tree))).collect();
+        entries.sort_by_key(|&(a, _)| a);
+        let tables = entries.iter().map(|(_, (c, tree))| build_table(graph, *c, tree)).collect();
+        let (cores, (core_nodes, trees)) = entries.into_iter().unzip();
+        FleetRib { cores, core_nodes, tables, trees, version: 0 }
     }
 
     /// The table version, bumped once per applied liveness event.
@@ -164,7 +135,7 @@ impl FleetRib {
     /// Patches every core tree for removed edges / downed nodes (the
     /// masks must already be applied to `graph`), rebuilds the flat
     /// columns and bumps the version. Returns total nodes re-settled
-    /// across trees. Panics unless built with [`FleetRib::repairable`].
+    /// across trees.
     pub fn apply_removals(
         &mut self,
         graph: &CsrGraph,
@@ -172,9 +143,8 @@ impl FleetRib {
         downed: &[u32],
         scratch: &mut SpfScratch,
     ) -> u64 {
-        let trees = self.trees.as_mut().expect("repairable rib");
         let mut touched = 0;
-        for (k, tree) in trees.iter_mut().enumerate() {
+        for (k, tree) in self.trees.iter_mut().enumerate() {
             touched += tree.repair_removals(graph, removed_pairs, downed, scratch);
             self.tables[k] = build_table(graph, self.core_nodes[k], tree);
         }
@@ -191,9 +161,8 @@ impl FleetRib {
         restored: &[u32],
         scratch: &mut SpfScratch,
     ) -> u64 {
-        let trees = self.trees.as_mut().expect("repairable rib");
         let mut touched = 0;
-        for (k, tree) in trees.iter_mut().enumerate() {
+        for (k, tree) in self.trees.iter_mut().enumerate() {
             touched += tree.repair_additions(graph, added_pairs, restored, scratch);
             self.tables[k] = build_table(graph, self.core_nodes[k], tree);
         }
@@ -206,8 +175,7 @@ impl FleetRib {
     /// path's bit-identity contract, checked after each fault event in
     /// the soak harness.
     pub fn assert_matches_full_spf(&self, graph: &CsrGraph, scratch: &mut SpfScratch) {
-        let trees = self.trees.as_ref().expect("repairable rib");
-        for (k, tree) in trees.iter().enumerate() {
+        for (k, tree) in self.trees.iter().enumerate() {
             let core = self.core_nodes[k];
             let fresh = SpfTree::full(graph, core, scratch);
             for u in 0..graph.node_count() as u32 {
@@ -377,7 +345,7 @@ mod tests {
         let (g, _) = CsrGraph::from_edges(3, &edges);
         let mut scratch = SpfScratch::new();
         let tree = SpfTree::full(&g, 0, &mut scratch);
-        let rib = FleetRib::new(&g, &[0], &[tree]);
+        let rib = FleetRib::repairable(&g, &[0], vec![tree]);
 
         let h = rib.hop(2, node_addr(0)).expect("reachable");
         assert_eq!(h.router, RouterId(1));
@@ -405,7 +373,7 @@ mod tests {
         let tree = SpfTree::full(&g, 0, &mut scratch);
         g.set_slot_live(pairs[1][0], false);
         g.set_slot_live(pairs[1][1], false);
-        let rib = FleetRib::new(&g, &[0], &[tree]);
+        let rib = FleetRib::repairable(&g, &[0], vec![tree]);
         assert!(rib.hop(2, node_addr(0)).is_none(), "stranded, not panicking");
         assert!(rib.hop(1, node_addr(0)).is_some(), "unaffected nodes still route");
     }

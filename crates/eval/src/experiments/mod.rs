@@ -5,6 +5,7 @@
 pub mod dataplane;
 pub mod delay;
 pub mod explore;
+mod fleet;
 pub mod groupscale;
 pub mod latency;
 pub mod multicore;

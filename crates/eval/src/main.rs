@@ -14,7 +14,7 @@
 
 use cbt_eval::experiments::*;
 use cbt_eval::Report;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 
 /// A named experiment runner (`quick` flag → smaller presets).
 type Runner = (&'static str, Box<dyn Fn(bool) -> Report>);
@@ -178,73 +178,33 @@ fn main() {
         }
         "all" => {
             let mut timings = Vec::new();
-            let mut timer_scaling = serde_json::Value::Null;
-            let mut dataplane_rows = serde_json::Value::Null;
-            let mut shard_scaling = serde_json::Value::Null;
-            let mut netscale_rows = serde_json::Value::Null;
-            let mut protoscale_rows = serde_json::Value::Null;
-            let mut soak_rows = serde_json::Value::Null;
-            let mut explore_cov = serde_json::Value::Null;
+            let mut rows = serde_json::Map::new();
             for (name, run) in &runners {
                 let t0 = std::time::Instant::now();
                 let report = run(quick);
                 let wall_ms = t0.elapsed().as_secs_f64() * 1e3;
                 println!("{}", report.render());
                 write_json(name, &report);
+                write_bench_snapshot(name, &report, quick);
                 // Scaling rows from the implementation benchmarks are
                 // benchmark records in their own right; carry them into
                 // the consolidated record alongside the wall timings.
-                if *name == "groupscale" {
-                    timer_scaling = report.json.clone();
-                }
-                if *name == "dataplane" {
-                    dataplane_rows = report.json.clone();
-                }
-                if *name == "shardscale" {
-                    shard_scaling = report.json.clone();
-                }
-                if *name == "netscale" {
-                    netscale_rows = report.json.clone();
-                }
-                if *name == "protoscale" {
-                    protoscale_rows = report.json.clone();
-                    write_bench_protoscale(&report);
-                }
-                if *name == "soak" {
-                    soak_rows = report.json.clone();
-                    write_bench_soak(&report);
-                }
-                if *name == "explore" {
-                    explore_cov = report.json.clone();
+                if let Some(&(_, key)) = BENCH_ROWS.iter().find(|(n, _)| n == name) {
+                    rows.insert(key.into(), report.json.clone());
                 }
                 timings.push(serde_json::json!({
                     "experiment": *name,
                     "wall_ms": wall_ms,
                 }));
             }
-            write_bench(
-                timings,
-                timer_scaling,
-                dataplane_rows,
-                shard_scaling,
-                netscale_rows,
-                protoscale_rows,
-                soak_rows,
-                explore_cov,
-                quick,
-            );
+            write_bench(timings, &rows, quick);
         }
         name => match runners.iter().find(|(n, _)| *n == name) {
             Some((_, run)) => {
                 let report = run(quick);
                 println!("{}", report.render());
                 write_json(name, &report);
-                if name == "protoscale" {
-                    write_bench_protoscale(&report);
-                }
-                if name == "soak" {
-                    write_bench_soak(&report);
-                }
+                write_bench_snapshot(name, &report, quick);
             }
             None => {
                 eprintln!("unknown experiment '{name}'; try `cbt-eval list`");
@@ -254,79 +214,63 @@ fn main() {
     }
 }
 
+/// Experiments whose rows are carried into `BENCH_eval.json`, with the
+/// key each is stored under.
+const BENCH_ROWS: [(&str, &str); 7] = [
+    ("groupscale", "timer_scaling"),
+    ("dataplane", "dataplane"),
+    ("shardscale", "shard_scaling"),
+    ("netscale", "netscale"),
+    ("protoscale", "protoscale"),
+    ("soak", "soak"),
+    ("explore", "explore"),
+];
+
 /// Consolidated wall-clock timings for an `all` run — the evaluation
 /// suite's own benchmark record (timings vary run to run; the
 /// experiment JSONs next to it do not).
-#[allow(clippy::too_many_arguments)]
-fn write_bench(
-    timings: Vec<serde_json::Value>,
-    timer_scaling: serde_json::Value,
-    dataplane: serde_json::Value,
-    shard_scaling: serde_json::Value,
-    netscale: serde_json::Value,
-    protoscale: serde_json::Value,
-    soak: serde_json::Value,
-    explore: serde_json::Value,
-    quick: bool,
-) {
+fn write_bench(timings: Vec<serde_json::Value>, rows: &serde_json::Map, quick: bool) {
     let dir = PathBuf::from("target");
     if std::fs::create_dir_all(&dir).is_err() {
         return;
     }
     let total: f64 = timings.iter().filter_map(|t| t["wall_ms"].as_f64()).sum();
-    let payload = serde_json::json!({
+    let mut payload = serde_json::json!({
         "suite": "cbt-eval all",
         "quick": quick,
         "jobs": cbt_eval::parallel::jobs(),
         "total_wall_ms": total,
         "experiments": timings,
-        "timer_scaling": timer_scaling,
-        "dataplane": dataplane,
-        "shard_scaling": shard_scaling,
-        "netscale": netscale,
-        "protoscale": protoscale,
-        "soak": soak,
-        "explore": explore,
     });
+    if let serde_json::Value::Object(m) = &mut payload {
+        for (k, v) in rows {
+            m.insert(k.clone(), v.clone());
+        }
+    }
     let path = dir.join("BENCH_eval.json");
-    if let Ok(s) = serde_json::to_string_pretty(&payload) {
-        let _ = std::fs::write(&path, s);
-        eprintln!("[written {}]", path.display());
-    }
+    write_pretty(&path, &payload);
 }
 
-/// Writes the Impl-5 summary rows to `BENCH_protoscale.json` in the
-/// working directory — run from the repo root, that's the in-repo
-/// perf-trajectory record the CI smoke and the committed snapshot use
-/// (the other BENCH files live under `target/` and are never
-/// committed).
-fn write_bench_protoscale(report: &Report) {
+/// Writes the Impl-5/Impl-6 summary (`protoscale`, `soak`; other
+/// experiments have none) to `BENCH_<name>.json`. A full run writes it
+/// to the working directory — run from the repo root, that is the
+/// committed snapshot. A `--quick` run writes under `target/`, so it
+/// never overwrites the committed record.
+fn write_bench_snapshot(name: &str, report: &Report, quick: bool) {
+    if !matches!(name, "protoscale" | "soak") {
+        return;
+    }
     let payload = serde_json::json!({
-        "suite": "cbt-eval protoscale",
+        "suite": format!("cbt-eval {name}"),
         "findings": report.findings,
         "rows": report.json,
     });
-    let path = PathBuf::from("BENCH_protoscale.json");
-    if let Ok(s) = serde_json::to_string_pretty(&payload) {
-        let _ = std::fs::write(&path, s);
-        eprintln!("[written {}]", path.display());
+    let file = format!("BENCH_{name}.json");
+    let path = if quick { PathBuf::from("target").join(file) } else { PathBuf::from(file) };
+    if quick && std::fs::create_dir_all("target").is_err() {
+        return;
     }
-}
-
-/// Writes the Impl-6 summary rows to `BENCH_soak.json` in the working
-/// directory — the committed fault-soak record, same contract as
-/// [`write_bench_protoscale`].
-fn write_bench_soak(report: &Report) {
-    let payload = serde_json::json!({
-        "suite": "cbt-eval soak",
-        "findings": report.findings,
-        "rows": report.json,
-    });
-    let path = PathBuf::from("BENCH_soak.json");
-    if let Ok(s) = serde_json::to_string_pretty(&payload) {
-        let _ = std::fs::write(&path, s);
-        eprintln!("[written {}]", path.display());
-    }
+    write_pretty(&path, &payload);
 }
 
 fn write_json(name: &str, report: &Report) {
@@ -347,8 +291,14 @@ fn write_json(name: &str, report: &Report) {
             .map(|(n, t)| serde_json::json!({"name": n, "csv": t.to_csv()}))
             .collect::<Vec<_>>(),
     });
-    if let Ok(s) = serde_json::to_string_pretty(&payload) {
-        let _ = std::fs::write(&path, s);
+    write_pretty(&path, &payload);
+}
+
+/// Writes `payload` as pretty JSON to `path`, best effort: a failed
+/// write leaves the printed report as the only record.
+fn write_pretty(path: &Path, payload: &serde_json::Value) {
+    if let Ok(s) = serde_json::to_string_pretty(payload) {
+        let _ = std::fs::write(path, s);
         eprintln!("[written {}]", path.display());
     }
 }
