@@ -243,7 +243,7 @@ fn drive(n: usize, per_sender: usize, payload_len: usize) -> RunStats {
             pkts_per_s: wave_rate,
             p50_us: pct(50),
             p99_us: pct(99),
-            fabric_dropped: fabric.dropped_overflow,
+            fabric_dropped: fabric.drops.get(cbt_obs::DropReason::InboxOverflow),
         }
     });
     drop(rt);

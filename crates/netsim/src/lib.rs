@@ -11,6 +11,9 @@
 //!   behaviour per router/host, moves whole IP datagrams between them
 //!   over LANs and point-to-point links with per-hop latency, and
 //!   honours the shared [`cbt_routing::FailureSet`];
+//! * the **delivery plan** ([`delivery`]) — who hears a frame on a LAN
+//!   or a link, resolved once per network and shared with the live
+//!   transports in `cbt-node`;
 //! * **fault injection** ([`fault`]) — seeded probabilistic drop and
 //!   byte corruption, smoltcp-style;
 //! * the **netscale world** ([`netscale`]) — the scale-over-fidelity
@@ -29,6 +32,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+pub mod delivery;
 pub mod fault;
 pub mod netscale;
 pub mod node;
@@ -39,6 +43,7 @@ pub mod trace;
 pub mod world;
 
 pub use bytes::Bytes;
+pub use delivery::{DeliveryPlan, Hop};
 pub use fault::{FaultClass, FaultPlan};
 pub use netscale::{NetscaleWorld, NsNode, NsOutbox, NsTrace};
 pub use node::{Entity, Outbox, SimNode, Transmit};

@@ -12,21 +12,22 @@
 //! - **Node lookup is a dense `Vec` index**, not a `HashMap` probe.
 //!   Entities map to slots as routers-then-hosts; each slot carries its
 //!   node and its wake generation side by side.
-//! - **Delivery is precomputed**. `World::new` resolves, once, every
-//!   LAN's receiver list (entity, rx interface, rx address) and every
-//!   router interface's medium (LAN with hoisted source address, or
-//!   link with peer + peer interface). `emit` then walks flat slices
-//!   instead of cloning `LanSpec`s and re-resolving `iface_on_lan` per
-//!   transmission.
+//! - **Delivery is precomputed**. `World::new` builds the network's
+//!   [`DeliveryPlan`] once — every LAN's attachments and every
+//!   interface's medium and link-layer source — and `emit` walks its
+//!   flat slices instead of re-resolving the spec per transmission.
+//!   The live transports in `cbt-node` deliver through the same plan;
+//!   failures, the trace, pcap capture and fault injection stay here.
 
+use crate::delivery::{DeliveryPlan, Hop};
 use crate::fault::{FaultClass, FaultInjector, FaultPlan};
 use crate::node::{Entity, Outbox, SimNode};
 use crate::queue::EventQueue;
 use crate::time::{SimDuration, SimTime};
-use crate::trace::{Medium, PacketKind, Trace};
+use crate::trace::{PacketKind, Trace};
 use bytes::Bytes;
 use cbt_routing::FailureSet;
-use cbt_topology::{Attachment, HostId, IfIndex, LanId, LinkId, NetworkSpec, RouterId};
+use cbt_topology::{IfIndex, NetworkSpec};
 
 /// World construction parameters.
 #[derive(Debug, Clone)]
@@ -76,23 +77,6 @@ struct Slot {
     scheduled_wake: Option<SimTime>,
 }
 
-/// One attachment on a LAN, resolved at construction: who receives, on
-/// which interface, at which link-layer address.
-struct LanReceiver {
-    entity: Entity,
-    iface: IfIndex,
-    addr: cbt_wire::Addr,
-}
-
-/// What a router interface transmits onto, resolved at construction.
-/// `src_addr` is the interface's own address — the link-layer source
-/// every delivery from this interface carries.
-#[derive(Clone, Copy)]
-enum IfacePlan {
-    Lan { lan: LanId, src_addr: cbt_wire::Addr },
-    Link { link: LinkId, peer: RouterId, peer_iface: Option<IfIndex>, src_addr: cbt_wire::Addr },
-}
-
 /// The discrete-event world.
 ///
 /// Construct with a network, plug in one [`SimNode`] per router/host
@@ -105,15 +89,9 @@ pub struct World {
     cfg: WorldConfig,
     now: SimTime,
     queue: EventQueue<Event>,
-    /// Dense node table: routers at `[0, num_routers)`, hosts after.
+    /// Dense node table, indexed by [`DeliveryPlan::slot`].
     slots: Vec<Slot>,
-    num_routers: usize,
-    /// Indexed by `LanId`: everyone attached to that LAN.
-    lan_plans: Vec<Vec<LanReceiver>>,
-    /// Indexed by `RouterId`, then `IfIndex`.
-    iface_plans: Vec<Vec<IfacePlan>>,
-    /// Indexed by `HostId`: (its LAN, its address).
-    host_plans: Vec<(LanId, cbt_wire::Addr)>,
+    plan: DeliveryPlan,
     injector: FaultInjector,
     trace: Trace,
     capture: Option<crate::pcap::Capture>,
@@ -127,60 +105,7 @@ impl World {
             .map(|_| Slot { node: None, wake_generation: 0, scheduled_wake: None })
             .collect();
 
-        let iface_plans = spec
-            .routers
-            .iter()
-            .map(|r| {
-                r.ifaces
-                    .iter()
-                    .map(|ifspec| match ifspec.attachment {
-                        Attachment::Lan(lan) => IfacePlan::Lan { lan, src_addr: ifspec.addr },
-                        Attachment::Link { link, peer } => {
-                            let peer_iface = spec.routers[peer.0 as usize]
-                                .ifaces
-                                .iter()
-                                .position(|pi| {
-                                    matches!(pi.attachment,
-                                        Attachment::Link { link: l, .. } if l == link)
-                                })
-                                .map(|p| IfIndex(p as u32));
-                            IfacePlan::Link { link, peer, peer_iface, src_addr: ifspec.addr }
-                        }
-                    })
-                    .collect()
-            })
-            .collect();
-
-        let lan_plans = spec
-            .lans
-            .iter()
-            .enumerate()
-            .map(|(li, lan)| {
-                let lan_id = LanId(li as u32);
-                let mut receivers = Vec::with_capacity(lan.routers.len() + lan.hosts.len());
-                for &r in &lan.routers {
-                    if let Some((rx_iface, rx_spec)) =
-                        spec.routers[r.0 as usize].iface_on_lan(lan_id)
-                    {
-                        receivers.push(LanReceiver {
-                            entity: Entity::Router(r),
-                            iface: rx_iface,
-                            addr: rx_spec.addr,
-                        });
-                    }
-                }
-                for &h in &lan.hosts {
-                    receivers.push(LanReceiver {
-                        entity: Entity::Host(h),
-                        iface: IfIndex(0),
-                        addr: spec.hosts[h.0 as usize].addr,
-                    });
-                }
-                receivers
-            })
-            .collect();
-
-        let host_plans = spec.hosts.iter().map(|h| (h.lan, h.addr)).collect();
+        let plan = DeliveryPlan::new(&spec);
 
         World {
             failures: FailureSet::none(),
@@ -189,10 +114,7 @@ impl World {
             // flight per router: covers the boot burst without growing.
             queue: EventQueue::with_capacity(2 * num_routers + spec.hosts.len()),
             slots,
-            num_routers,
-            lan_plans,
-            iface_plans,
-            host_plans,
+            plan,
             injector: FaultInjector::new(cfg.fault.clone(), cfg.seed),
             trace: if cfg.record_trace { Trace::recording() } else { Trace::counters_only() },
             capture: cfg.capture_pcap.then(crate::pcap::Capture::new),
@@ -247,23 +169,6 @@ impl World {
         &mut self.failures
     }
 
-    /// Dense slot index: routers first, hosts after.
-    fn idx(&self, e: Entity) -> usize {
-        match e {
-            Entity::Router(r) => r.0 as usize,
-            Entity::Host(h) => self.num_routers + h.0 as usize,
-        }
-    }
-
-    /// Inverse of [`World::idx`].
-    fn entity_at(&self, i: usize) -> Entity {
-        if i < self.num_routers {
-            Entity::Router(RouterId(i as u32))
-        } else {
-            Entity::Host(HostId((i - self.num_routers) as u32))
-        }
-    }
-
     /// Installs the behaviour for an entity, replacing any previous one
     /// (that is how router *restarts* are modelled: a fresh engine with
     /// empty state, per §6.2).
@@ -272,7 +177,7 @@ impl World {
     ///
     /// If `entity` is not part of this world's [`NetworkSpec`].
     pub fn set_node(&mut self, entity: Entity, node: Box<dyn SimNode>) {
-        let i = self.idx(entity);
+        let i = self.plan.slot(entity);
         assert!(i < self.slots.len(), "set_node: {entity} is not in the network spec");
         self.slots[i].node = Some(node);
         self.reschedule_wake(entity);
@@ -282,14 +187,14 @@ impl World {
     /// a host application to join a group). Follow mutations that need
     /// to send packets with [`World::poke`].
     pub fn node_mut<N: SimNode + 'static>(&mut self, entity: Entity) -> Option<&mut N> {
-        let i = self.idx(entity);
+        let i = self.plan.slot(entity);
         self.slots.get_mut(i)?.node.as_deref_mut()?.as_any_mut().downcast_mut::<N>()
     }
 
     /// Immutable typed access to a node — inspection without exclusive
     /// access to the world.
     pub fn node<N: SimNode + 'static>(&self, entity: Entity) -> Option<&N> {
-        let i = self.idx(entity);
+        let i = self.plan.slot(entity);
         self.slots.get(i)?.node.as_deref()?.as_any().downcast_ref::<N>()
     }
 
@@ -301,7 +206,7 @@ impl World {
         }
         let mut out = Outbox::new();
         let now = self.now;
-        let i = self.idx(entity);
+        let i = self.plan.slot(entity);
         if let Some(slot) = self.slots.get_mut(i) {
             if let Some(node) = slot.node.as_deref_mut() {
                 node.on_timer(now, &mut out);
@@ -318,7 +223,7 @@ impl World {
         // order `Entity` derives, so startup stays deterministic.
         for i in 0..self.slots.len() {
             if self.slots[i].node.is_some() {
-                self.poke(self.entity_at(i));
+                self.poke(self.plan.entity_at(i));
             }
         }
     }
@@ -334,7 +239,7 @@ impl World {
                     return true;
                 }
                 let mut out = Outbox::new();
-                let i = self.idx(to);
+                let i = self.plan.slot(to);
                 if let Some(node) = self.slots[i].node.as_deref_mut() {
                     node.on_packet(at, iface, link_src, &frame, &mut out);
                 }
@@ -342,7 +247,7 @@ impl World {
                 self.reschedule_wake(to);
             }
             Event::Wake { who, generation } => {
-                let i = self.idx(who);
+                let i = self.plan.slot(who);
                 if self.slots[i].wake_generation != generation {
                     return true; // stale wake
                 }
@@ -403,131 +308,66 @@ impl World {
         }
     }
 
-    /// Dispatches everything a node queued, via the precomputed plans.
+    /// Dispatches everything a node queued, via the delivery plan.
     fn emit(&mut self, from: Entity, mut out: Outbox) {
         for t in out.drain() {
-            match from {
-                Entity::Router(r) => {
-                    let Some(plan) = self
-                        .iface_plans
-                        .get(r.0 as usize)
-                        .and_then(|p| p.get(t.iface.0 as usize))
-                        .copied()
-                    else {
-                        // Unknown interface: the world has no plan to
-                        // carry this frame anywhere.
-                        self.trace.record_drop(cbt_obs::DropReason::NoFibEntry);
-                        continue;
-                    };
-                    match plan {
-                        IfacePlan::Lan { lan, src_addr } => {
-                            self.emit_lan(from, t.iface, lan, src_addr, t.link_dst, t.frame);
-                        }
-                        IfacePlan::Link { link, peer, peer_iface, src_addr } => {
-                            self.emit_link(
-                                from, t.iface, link, peer, peer_iface, src_addr, t.frame,
-                            );
-                        }
-                    }
-                }
-                Entity::Host(h) => {
-                    if t.iface != IfIndex(0) {
-                        self.trace.record_drop(cbt_obs::DropReason::NoFibEntry);
-                        continue;
-                    }
-                    let Some(&(lan, src_addr)) = self.host_plans.get(h.0 as usize) else {
-                        self.trace.record_drop(cbt_obs::DropReason::NoFibEntry);
-                        continue;
-                    };
-                    self.emit_lan(from, t.iface, lan, src_addr, t.link_dst, t.frame);
-                }
-            }
+            let Some(hop) = self.plan.hop(from, t.iface) else {
+                // Unknown interface: the world has no plan to carry
+                // this frame anywhere.
+                self.trace.record_drop(cbt_obs::DropReason::NoFibEntry);
+                continue;
+            };
+            self.transmit(from, t.iface, hop, t.link_dst, t.frame);
         }
     }
 
-    fn emit_lan(
+    fn transmit(
         &mut self,
         from: Entity,
         iface: IfIndex,
-        lan: LanId,
-        link_src: cbt_wire::Addr,
+        hop: Hop,
         link_dst: Option<cbt_wire::Addr>,
         frame: Bytes,
     ) {
-        if self.failures.lan_down(lan) {
-            return;
+        // A failed LAN carries and records nothing. A link records the
+        // attempt (bytes hit the wire) even when the link or its peer
+        // is down and nothing arrives.
+        if let Hop::Lan { lan, .. } = hop {
+            if self.failures.lan_down(lan) {
+                return;
+            }
         }
         let kind = PacketKind::classify(&frame);
-        self.trace.record_tx(self.now, from, iface, Medium::Lan(lan), kind, frame.len());
+        self.trace.record_tx(self.now, from, iface, hop.medium(), kind, frame.len());
+        let latency = match hop {
+            Hop::Lan { .. } => self.cfg.lan_latency,
+            Hop::Link { link, peer, .. } => {
+                if self.failures.link_down(link) || self.failures.router_down(peer) {
+                    return;
+                }
+                self.cfg.link_latency
+            }
+        };
         if let Some(cap) = &mut self.capture {
             cap.record(self.now, frame.clone());
         }
         let class = if kind.is_control() { FaultClass::Control } else { FaultClass::Data };
         let Some(frame) = self.injector.apply(class, frame) else { return };
-        let arrive_at = self.now + self.cfg.lan_latency;
-        for rx in &self.lan_plans[lan.0 as usize] {
-            if rx.entity == from {
-                continue;
-            }
-            if let Entity::Router(r) = rx.entity {
+        let arrive_at = self.now + latency;
+        for (to, iface) in self.plan.receivers(from, hop, link_dst) {
+            if let Entity::Router(r) = to {
                 if self.failures.router_down(r) {
                     continue;
                 }
             }
-            // Link-layer filter: a framed unicast only reaches its
-            // addressee.
-            if link_dst.is_some_and(|d| d != rx.addr) {
-                continue;
-            }
-            self.queue.push(
-                arrive_at,
-                Event::Arrive {
-                    to: rx.entity,
-                    iface: rx.iface,
-                    link_src,
-                    frame: frame.clone(), // refcount bump, not a copy
-                },
-            );
+            let link_src = hop.link_src();
+            // A refcount bump per receiver, not a copy.
+            self.queue.push(arrive_at, Event::Arrive { to, iface, link_src, frame: frame.clone() });
         }
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    fn emit_link(
-        &mut self,
-        from: Entity,
-        iface: IfIndex,
-        link: LinkId,
-        peer: RouterId,
-        peer_iface: Option<IfIndex>,
-        src_addr: cbt_wire::Addr,
-        frame: Bytes,
-    ) {
-        // Record the attempt (bytes hit the wire) even when the link or
-        // peer is down and nothing arrives.
-        let kind = PacketKind::classify(&frame);
-        self.trace.record_tx(self.now, from, iface, Medium::Link(link), kind, frame.len());
-        if self.failures.link_down(link) || self.failures.router_down(peer) {
-            return;
-        }
-        if let Some(cap) = &mut self.capture {
-            cap.record(self.now, frame.clone());
-        }
-        let class = if kind.is_control() { FaultClass::Control } else { FaultClass::Data };
-        let Some(frame) = self.injector.apply(class, frame) else { return };
-        let Some(peer_iface) = peer_iface else { return };
-        self.queue.push(
-            self.now + self.cfg.link_latency,
-            Event::Arrive {
-                to: Entity::Router(peer),
-                iface: peer_iface,
-                link_src: src_addr,
-                frame,
-            },
-        );
     }
 
     fn reschedule_wake(&mut self, entity: Entity) {
-        let i = self.idx(entity);
+        let i = self.plan.slot(entity);
         let now = self.now;
         let Some(slot) = self.slots.get_mut(i) else { return };
         let next = slot.node.as_ref().and_then(|n| n.next_wakeup()).map(|at| at.max(now));
@@ -553,7 +393,7 @@ impl World {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cbt_topology::NetworkBuilder;
+    use cbt_topology::{HostId, NetworkBuilder, RouterId};
     use cbt_wire::{Addr, DataPacket, GroupId};
     use std::any::Any;
 

@@ -6,10 +6,13 @@
 //! of a virtual event queue:
 //!
 //! * every router and host is its own task;
-//! * frames move over an in-process [`fabric`] of mpsc channels that
-//!   reproduces the link/LAN semantics (broadcast fan-out, link-layer
-//!   unicast filtering) — or over **real UDP sockets** on loopback via
-//!   [`udp`];
+//! * frames move over an in-process [`fabric`] of mpsc channels — or
+//!   over **real UDP sockets** on loopback via [`udp`]. Both resolve
+//!   recipients through the simulator's own
+//!   [`cbt_netsim::DeliveryPlan`] (broadcast fan-out, link-layer
+//!   unicast filtering, p2p peers), and both hand received frames to
+//!   one bounded, shard-steering enqueue with one set of
+//!   per-node counters ([`fabric::TransportCounters`]);
 //! * timers are `tokio::time::sleep_until` against the node's own
 //!   `next_wakeup()`, so `tokio::time::pause()` makes tests instant.
 //!
