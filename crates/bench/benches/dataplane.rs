@@ -55,13 +55,6 @@ fn allocs() -> u64 {
     ALLOCS.load(Ordering::Relaxed)
 }
 
-struct FixedRoutes(BTreeMap<Addr, Hop>);
-impl cbt::RouteLookup for FixedRoutes {
-    fn hop_toward(&self, dst: Addr) -> Option<Hop> {
-        self.0.get(&dst).copied()
-    }
-}
-
 fn group() -> GroupId {
     GroupId::numbered(1)
 }
@@ -96,7 +89,7 @@ fn on_tree_engine(mode: ForwardingMode) -> CbtRouter {
         &net,
         me,
         CbtConfig::default().with_mode(mode),
-        Box::new(FixedRoutes(routes)),
+        Box::new(routes),
         SimTime::ZERO,
     );
     e.handle_igmp(
@@ -169,7 +162,7 @@ fn on_tree_sharded(mode: ForwardingMode) -> ShardedRouter {
                 core(),
                 Hop { iface: IfIndex(1), router: RouterId(1), addr: parent_addr(), dist: 1 },
             );
-            Box::new(FixedRoutes(routes))
+            Box::new(routes)
         },
         SimTime::ZERO,
     );

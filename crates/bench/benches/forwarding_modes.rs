@@ -9,13 +9,6 @@ use cbt_wire::{AckSubcode, Addr, ControlMessage, DataPacket, GroupId, JoinSubcod
 use criterion::{black_box, criterion_group, criterion_main, Criterion, Throughput};
 use std::collections::BTreeMap;
 
-struct FixedRoutes(BTreeMap<Addr, Hop>);
-impl cbt::RouteLookup for FixedRoutes {
-    fn hop_toward(&self, dst: Addr) -> Option<Hop> {
-        self.0.get(&dst).copied()
-    }
-}
-
 fn group() -> GroupId {
     GroupId::numbered(1)
 }
@@ -50,7 +43,7 @@ fn on_tree_engine(mode: ForwardingMode) -> CbtRouter {
         &net,
         me,
         CbtConfig::default().with_mode(mode),
-        Box::new(FixedRoutes(routes)),
+        Box::new(routes),
         SimTime::ZERO,
     );
     // Local member (makes us DR + eventually G-DR).

@@ -76,13 +76,6 @@ fn bench_service_rearm_churn(c: &mut Criterion) {
     });
 }
 
-struct FixedRoutes(BTreeMap<Addr, Hop>);
-impl cbt::RouteLookup for FixedRoutes {
-    fn hop_toward(&self, dst: Addr) -> Option<Hop> {
-        self.0.get(&dst).copied()
-    }
-}
-
 fn core() -> Addr {
     Addr::from_octets(10, 255, 0, 9)
 }
@@ -109,7 +102,7 @@ fn loaded_engine(cfg: CbtConfig, groups: usize) -> CbtRouter {
             dist: 1,
         },
     );
-    let mut e = CbtRouter::new(&net, me, cfg, Box::new(FixedRoutes(routes)), SimTime::ZERO);
+    let mut e = CbtRouter::new(&net, me, cfg, Box::new(routes), SimTime::ZERO);
     for n in 0..groups {
         let g = GroupId::numbered(n as u16);
         e.learn_cores(g, &[core()]);

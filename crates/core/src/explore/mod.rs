@@ -377,7 +377,7 @@ fn heal_everything(cw: &mut CbtWorld) {
     }
 }
 
-/// Steps the world in [`QUIESCE_STEP`] increments until no up router
+/// Steps the world in `QUIESCE_STEP` (500 ms) increments until no up router
 /// holds transient state (pending join, unacked quit, re-attachment
 /// campaign) for any of `groups`, or `budget` is spent. Returns
 /// whether quiescence was reached.

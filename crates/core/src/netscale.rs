@@ -4,10 +4,10 @@
 //!
 //! * a deterministic **router-id ⇄ address** bijection (no address
 //!   tables at 100k routers);
-//! * [`FleetRib`] — shared flat route tables toward the core set,
-//!   derived from [`SpfTree`]s over the *same* [`CsrGraph`] the world
-//!   delivers frames on, so "interface `k` toward the core" and "the
-//!   world's port `k`" agree by construction;
+//! * [`FleetRib`] — shared routes toward the core set, answered from
+//!   [`SpfTree`]s over the *same* [`CsrGraph`] the world delivers
+//!   frames on, so "interface `k` toward the core" and "the world's
+//!   port `k`" agree by construction;
 //! * [`P2pNode`] — wraps a [`ShardedRouter`] (so `CBT_SHARDS` steering
 //!   works unchanged at netscale), framing control messages as
 //!   `[source address | wire encoding]` byte vectors.
@@ -22,7 +22,7 @@ use crate::events::RouterAction;
 use crate::shard::ShardedRouter;
 use cbt_netsim::{NsNode, NsOutbox, SimTime};
 use cbt_routing::Hop;
-use cbt_topology::{CsrGraph, IfIndex, RouterId, SpfScratch, SpfTree, NO_NODE};
+use cbt_topology::{CsrGraph, IfIndex, RouterId, SpfScratch, SpfTree};
 use cbt_wire::{Addr, ControlMessage};
 use std::sync::{Arc, RwLock};
 
@@ -39,75 +39,50 @@ pub fn addr_node(a: Addr) -> u32 {
     ((x as u32) << 16) | ((y as u32) << 8) | z as u32
 }
 
-/// Flat routing state toward the experiment's core set, shared by every
-/// engine in the fleet (`Arc<RwLock<_>>`). One [`SpfTree`] per core; per
-/// node the table keeps the next-hop node, the local interface toward
-/// it (CSR slot order — the netscale world's port-number contract) and
-/// the distance.
+/// Routing state toward the experiment's core set, shared by every
+/// engine in the fleet (`Arc<RwLock<_>>`): one [`SpfTree`] per core
+/// plus a copy of the [`CsrGraph`] the trees were last built or
+/// repaired over, liveness masks included. A hop is the tree's next
+/// node, the first live local interface toward it (CSR slot order —
+/// the netscale world's port-number contract) and the tree distance.
 ///
 /// Lookups resolve **core addresses only**: a netscale fleet routes
 /// joins toward cores, and single-core groups (the protoscale setup)
 /// never send a join anywhere else. Any other destination reports
 /// unreachable.
 ///
-/// The rib keeps its SPF trees and is patched in place after a
-/// liveness change via [`FleetRib::apply_removals`] /
-/// [`FleetRib::apply_additions`] — incremental SPF repair, table
-/// columns rebuilt from the repaired trees. Repairs happen between
-/// world event-loop steps under the write lock, so every engine sees
-/// one consistent table version per step; [`FleetRib::version`] names
-/// it.
+/// After a liveness change the trees are patched in place via
+/// [`FleetRib::apply_removals`] / [`FleetRib::apply_additions`]
+/// (incremental SPF repair) and the graph copy takes the new masks.
+/// Repairs happen between world event-loop steps under the write lock,
+/// so every engine sees one consistent rib version per step;
+/// [`FleetRib::version`] names it.
 pub struct FleetRib {
     /// Core addresses, sorted for binary search.
     cores: Vec<Addr>,
-    /// Fleet node-id of each core (parallel to `cores`).
-    core_nodes: Vec<u32>,
-    /// Per core (parallel to `cores`): flat per-node columns.
-    tables: Vec<CoreTable>,
-    /// The SPF trees behind `tables` (parallel to `cores`).
+    /// The SPF tree toward each core (parallel to `cores`).
     trees: Vec<SpfTree>,
+    /// The graph as of the last build or repair.
+    graph: CsrGraph,
     /// Bumped once per applied liveness event.
     version: u64,
 }
 
-struct CoreTable {
-    /// Next-hop node toward the core, `NO_NODE` at the core itself and
-    /// on unreachable nodes.
-    next: Vec<u32>,
-    /// Local interface (CSR slot offset) toward `next`.
-    iface: Vec<u32>,
-    /// Distance to the core.
-    dist: Vec<u64>,
-}
-
-/// Rebuilds one core's flat columns from its (full or repaired) SPF
-/// tree over the current liveness masks of `graph`.
-fn build_table(graph: &CsrGraph, core: u32, tree: &SpfTree) -> CoreTable {
-    assert_eq!(tree.root(), core, "tree rooted at its core");
-    let n = graph.node_count();
-    let mut next = vec![NO_NODE; n];
-    let mut iface = vec![u32::MAX; n];
-    let mut dist = vec![u64::MAX; n];
-    for u in 0..n as u32 {
-        let Some(d) = tree.dist(u) else { continue };
-        if u == core {
-            dist[u as usize] = d;
-            continue;
-        }
-        let Some(p) = tree.toward_root(u) else { continue };
-        // First live slot toward the predecessor; parallel edges
-        // resolve to the lowest slot deterministically. A mask applied
-        // after the SPF ran (mid-flap window) can remove every slot
-        // toward the predecessor — the node is unroutable until the
-        // rib is repaired, not a panic.
-        let base = graph.slot_base(u);
-        if let Some((s, _, _)) = graph.live_slots(u).find(|&(_, v, _)| v == p) {
-            next[u as usize] = p;
-            iface[u as usize] = s - base;
-            dist[u as usize] = d;
-        }
-    }
-    CoreTable { next, iface, dist }
+/// `me`'s hop toward the root of `tree` over `graph`: the SPF
+/// predecessor, through the first live slot toward it (parallel edges
+/// resolve to the lowest slot deterministically). A mask applied after
+/// the SPF ran (mid-flap window) can remove every slot toward the
+/// predecessor — the node is unroutable until the rib is repaired, not
+/// a panic.
+fn hop_on(graph: &CsrGraph, tree: &SpfTree, me: u32) -> Option<Hop> {
+    let next = tree.toward_root(me)?;
+    let (slot, _, _) = graph.live_slots(me).find(|&(_, v, _)| v == next)?;
+    Some(Hop {
+        iface: IfIndex(slot - graph.slot_base(me)),
+        router: RouterId(next),
+        addr: node_addr(next),
+        dist: tree.dist(me)?,
+    })
 }
 
 impl FleetRib {
@@ -119,23 +94,28 @@ impl FleetRib {
     /// instead of rebuilding from scratch.
     pub fn repairable(graph: &CsrGraph, core_nodes: &[u32], trees: Vec<SpfTree>) -> Self {
         assert_eq!(core_nodes.len(), trees.len(), "one SPF tree per core");
-        let mut entries: Vec<(Addr, (u32, SpfTree))> =
-            core_nodes.iter().zip(trees).map(|(&c, tree)| (node_addr(c), (c, tree))).collect();
+        let mut entries: Vec<(Addr, SpfTree)> = core_nodes
+            .iter()
+            .zip(trees)
+            .map(|(&c, tree)| {
+                assert_eq!(tree.root(), c, "tree rooted at its core");
+                (node_addr(c), tree)
+            })
+            .collect();
         entries.sort_by_key(|&(a, _)| a);
-        let tables = entries.iter().map(|(_, (c, tree))| build_table(graph, *c, tree)).collect();
-        let (cores, (core_nodes, trees)) = entries.into_iter().unzip();
-        FleetRib { cores, core_nodes, tables, trees, version: 0 }
+        let (cores, trees) = entries.into_iter().unzip();
+        FleetRib { cores, trees, graph: graph.clone(), version: 0 }
     }
 
-    /// The table version, bumped once per applied liveness event.
+    /// The rib version, bumped once per applied liveness event.
     pub fn version(&self) -> u64 {
         self.version
     }
 
     /// Patches every core tree for removed edges / downed nodes (the
-    /// masks must already be applied to `graph`), rebuilds the flat
-    /// columns and bumps the version. Returns total nodes re-settled
-    /// across trees.
+    /// masks must already be applied to `graph`), takes `graph`'s masks
+    /// and bumps the version. Returns total nodes re-settled across
+    /// trees.
     pub fn apply_removals(
         &mut self,
         graph: &CsrGraph,
@@ -144,10 +124,10 @@ impl FleetRib {
         scratch: &mut SpfScratch,
     ) -> u64 {
         let mut touched = 0;
-        for (k, tree) in self.trees.iter_mut().enumerate() {
+        for tree in &mut self.trees {
             touched += tree.repair_removals(graph, removed_pairs, downed, scratch);
-            self.tables[k] = build_table(graph, self.core_nodes[k], tree);
         }
+        self.graph.copy_masks_from(graph);
         self.version += 1;
         touched
     }
@@ -162,21 +142,21 @@ impl FleetRib {
         scratch: &mut SpfScratch,
     ) -> u64 {
         let mut touched = 0;
-        for (k, tree) in self.trees.iter_mut().enumerate() {
+        for tree in &mut self.trees {
             touched += tree.repair_additions(graph, added_pairs, restored, scratch);
-            self.tables[k] = build_table(graph, self.core_nodes[k], tree);
         }
+        self.graph.copy_masks_from(graph);
         self.version += 1;
         touched
     }
 
-    /// Hard-asserts every repaired tree and table column equals a
-    /// from-scratch SPF over the graph's current masks — the repair
-    /// path's bit-identity contract, checked after each fault event in
-    /// the soak harness.
+    /// Hard-asserts every repaired tree, and every hop the rib answers,
+    /// equals a from-scratch SPF over the graph's current masks — the
+    /// repair path's bit-identity contract, checked after each fault
+    /// event in the soak harness.
     pub fn assert_matches_full_spf(&self, graph: &CsrGraph, scratch: &mut SpfScratch) {
-        for (k, tree) in self.trees.iter().enumerate() {
-            let core = self.core_nodes[k];
+        for tree in &self.trees {
+            let core = tree.root();
             let fresh = SpfTree::full(graph, core, scratch);
             for u in 0..graph.node_count() as u32 {
                 assert_eq!(tree.dist(u), fresh.dist(u), "repaired dist, node {u} core {core}");
@@ -185,28 +165,19 @@ impl FleetRib {
                     fresh.toward_root(u),
                     "repaired pred, node {u} core {core}"
                 );
+                assert_eq!(
+                    hop_on(&self.graph, tree, u),
+                    hop_on(graph, &fresh, u),
+                    "repaired hop, node {u} core {core}"
+                );
             }
-            let table = build_table(graph, core, &fresh);
-            assert_eq!(self.tables[k].next, table.next, "next column, core {core}");
-            assert_eq!(self.tables[k].iface, table.iface, "iface column, core {core}");
-            assert_eq!(self.tables[k].dist, table.dist, "dist column, core {core}");
         }
     }
 
     /// Next hop from `me` toward core `dst`, if routable.
     fn hop(&self, me: u32, dst: Addr) -> Option<Hop> {
         let k = self.cores.binary_search(&dst).ok()?;
-        let t = &self.tables[k];
-        let next = *t.next.get(me as usize)?;
-        if next == NO_NODE {
-            return None;
-        }
-        Some(Hop {
-            iface: IfIndex(t.iface[me as usize]),
-            router: RouterId(next),
-            addr: node_addr(next),
-            dist: t.dist[me as usize],
-        })
+        hop_on(&self.graph, &self.trees[k], me)
     }
 }
 

@@ -451,7 +451,6 @@ impl ShardedRouter {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::engine::testutil::ScriptRoutes;
     use cbt_topology::NetworkBuilder;
     use std::collections::BTreeMap;
 
@@ -480,7 +479,7 @@ mod tests {
     fn routes() -> Box<dyn RouteLookup> {
         let hop =
             cbt_routing::Hop { iface: IfIndex(1), router: RouterId(1), addr: core(), dist: 1 };
-        Box::new(ScriptRoutes([(core(), hop)].into_iter().collect()))
+        Box::new(BTreeMap::from([(core(), hop)]))
     }
 
     fn sharded(n: usize) -> ShardedRouter {
@@ -536,14 +535,14 @@ mod tests {
             &net,
             me,
             cfg.clone(),
-            Box::new(ScriptRoutes(BTreeMap::new())),
+            Box::new(BTreeMap::<Addr, cbt_routing::Hop>::new()),
             SimTime::ZERO,
         );
         let mut front = ShardedRouter::new(
             &net,
             me,
             CbtConfig { shards: 1, ..cfg },
-            || Box::new(ScriptRoutes(BTreeMap::new())),
+            || Box::new(BTreeMap::<Addr, cbt_routing::Hop>::new()),
             SimTime::ZERO,
         );
         let host = Addr::from_octets(10, 1, 0, 77);

@@ -625,7 +625,7 @@ impl CbtWorld {
 
     /// Recomputes the shared RIB from the current failure set.
     pub fn recompute_routes(&self) {
-        SharedRib::recompute(&self.net, &self.rib, self.world.failures());
+        SharedRib::recompute(&self.rib, self.world.failures());
     }
 }
 

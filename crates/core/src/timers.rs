@@ -334,8 +334,8 @@ struct KeyState {
 /// its last physical wheel entry has drained, its map entry is removed,
 /// so long-running churn over many keys (groups joining and tearing
 /// down for the lifetime of a router) holds state proportional to the
-/// *live* key set, not to every key ever seen. [`tracked_keys`]
-/// (Self::tracked_keys) exposes the table size for regression tests.
+/// *live* key set, not to every key ever seen.
+/// [`tracked_keys`](Self::tracked_keys) exposes the table size for regression tests.
 #[derive(Debug, Clone)]
 pub struct TimerService<K: Ord + Copy> {
     wheel: TimerWheel<(K, u64)>,

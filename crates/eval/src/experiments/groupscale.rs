@@ -11,7 +11,7 @@
 //! historical comparison against a scan-every-tick service.
 
 use crate::report::Report;
-use cbt::{CbtConfig, CbtRouter, RouteLookup};
+use cbt::{CbtConfig, CbtRouter};
 use cbt_metrics::{table::f, Table};
 use cbt_netsim::{SimDuration, SimTime};
 use cbt_routing::Hop;
@@ -39,16 +39,6 @@ impl Params {
     /// Small preset for tests/benches.
     pub fn quick() -> Self {
         Params { sizes: vec![100, 1000], measure_secs: 60 }
-    }
-}
-
-/// Scripted unicast routing: dst → hop. Mirrors the engine's test
-/// harness (which is `cfg(test)`-gated and not exported).
-struct ScriptRoutes(BTreeMap<Addr, Hop>);
-
-impl RouteLookup for ScriptRoutes {
-    fn hop_toward(&self, dst: Addr) -> Option<Hop> {
-        self.0.get(&dst).copied()
     }
 }
 
@@ -101,9 +91,7 @@ fn drive(n: usize, measure_secs: u64) -> RunStats {
     let lan_if = IfIndex(0);
     let up_if = IfIndex(1);
     let up_peer = Addr::from_octets(172, 31, 0, 2);
-    let routes = ScriptRoutes(
-        [(core, Hop { iface: up_if, router: up, addr: up_peer, dist: 1 })].into_iter().collect(),
-    );
+    let routes = BTreeMap::from([(core, Hop { iface: up_if, router: up, addr: up_peer, dist: 1 })]);
 
     let cfg = CbtConfig::default();
     let echo_us = cfg.echo_interval.micros();

@@ -12,7 +12,7 @@
 //! 1. **validate** — at ~1k routers, drive a fixed membership set
 //!    through real joins, settle, and hard-assert the engine-built
 //!    tree (parent/child FIB edges) is edge-identical to the analytic
-//!    [`TreeWalk`] over the same [`SpfTree`]s; then tear every member
+//!    `TreeWalk` over the same [`SpfTree`]s; then tear every member
 //!    down and assert the fleet returns to silence (zero FIB entries,
 //!    zero armed timers, zero decode errors fleet-wide);
 //! 2. **instantiate** the preset fleet (quick ≈ 10k, full ≈ 100k) of
@@ -26,7 +26,7 @@
 //!
 //! The fleet is single-core-per-group (cores spread over the transit
 //! routers, learned by the member before it joins), so every engine
-//! route lookup resolves through the shared [`FleetRib`].
+//! route lookup resolves through the shared [`FleetRib`](cbt::FleetRib).
 
 use super::fleet::{rss_bytes, Fleet, Layer, FULL_TOPO, GATE_TOPO, QUICK_TOPO};
 use super::netscale::TreeWalk;

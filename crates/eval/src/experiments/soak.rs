@@ -13,9 +13,10 @@
 //!    100k), drive the Poisson/diurnal membership stream, and fire a
 //!    scheduled fault script through it: link flaps on in-use tree
 //!    edges plus router crashes with §6.2 cold restarts. Every fault
-//!    repairs the shared [`FleetRib`] incrementally
-//!    ([`FleetRib::apply_removals`] / [`FleetRib::apply_additions`])
-//!    and hard-asserts the repaired tables equal a from-scratch SPF;
+//!    repairs the shared [`cbt::FleetRib`] incrementally
+//!    ([`apply_removals`](cbt::FleetRib::apply_removals) /
+//!    [`apply_additions`](cbt::FleetRib::apply_additions)) and
+//!    hard-asserts the repaired routes equal a from-scratch SPF;
 //! 3. **measure** — per-fault detached/reattached/lost member counts
 //!    and recovery time, the echo-timeout reattachment latency
 //!    histogram, control-frame rate peaks (fault storms and the final

@@ -679,12 +679,14 @@ impl ObsSnapshot {
     }
 }
 
-/// Counters for the scalable unicast routing layer: on-demand SPF
-/// cache behaviour and the incremental-repair economics (how many
-/// nodes each repair touched vs. what a full recompute would settle).
+/// Counters for the scalable unicast routing layer: full SPF runs and
+/// the incremental-repair economics (how many nodes each repair touched
+/// vs. what a full recompute would settle).
 ///
 /// Standalone and mergeable like every other counter set here; the
-/// RIB owns one and experiments export it next to [`ObsSnapshot`]s.
+/// netscale experiment (Impl-4) fills one and exports it next to
+/// [`ObsSnapshot`]s. The `cache_*` and `apply_batches` fields are kept
+/// so its JSON keeps its shape; nothing records them.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct SpfStats {
     /// Full single-destination SPF runs (cache misses + invalidations).

@@ -3,18 +3,16 @@
 //! Scalable architecture (replacing the all-pairs table): the router
 //! graph lives in an arena-backed CSR ([`cbt_topology::CsrGraph`])
 //! with in-place failure masks, and per-destination shortest-path
-//! trees are computed **on demand** into an LRU-bounded cache — CBT
-//! only ever asks for routes toward cores and members, a tiny
-//! fraction of all n² pairs. Failure deltas are applied
-//! **incrementally**: masked edges/nodes detach only the affected
-//! subtrees of each cached tree and the frontier is re-run, instead
-//! of recomputing the world. Every repair is exact (bit-identical to
-//! a from-scratch SPF), so replay determinism is preserved no matter
-//! when trees were computed, evicted, or repaired; an invalidation
-//! generation counts applied failure batches for observability.
+//! trees are computed **on demand** and kept — CBT only ever asks for
+//! routes toward cores and members, a tiny fraction of all n² pairs.
+//! Failure deltas are applied **incrementally**: masked edges/nodes
+//! detach only the affected subtrees of each kept tree and the
+//! frontier is re-run, instead of recomputing the world. Every repair
+//! is exact (bit-identical to a from-scratch SPF), so replay
+//! determinism is preserved no matter when trees were computed or
+//! repaired.
 
 use crate::failure::FailureSet;
-use cbt_obs::SpfStats;
 use cbt_topology::csr::{CsrGraph, SpfScratch, SpfTree};
 use cbt_topology::{Attachment, IfIndex, LanId, NetworkSpec, RouterId};
 use cbt_wire::Addr;
@@ -35,55 +33,6 @@ pub struct Hop {
     pub dist: u64,
 }
 
-/// Default bound on cached per-destination trees. CBT workloads route
-/// toward cores and member LAN routers, so even internet-scale
-/// experiments sit far below this; at 1024 trees × a 100k-node graph
-/// the cache is still only ~2.5 GB short of all-pairs' ~240 GB.
-const DEFAULT_CACHE_CAP: usize = 1024;
-
-/// One cached per-destination shortest-path tree.
-#[derive(Debug)]
-struct CacheEntry {
-    tree: SpfTree,
-    last_used: u64,
-}
-
-/// The on-demand tree cache plus the scratch/stat state that rides
-/// along under the same lock.
-#[derive(Debug, Default)]
-struct SpfCache {
-    /// Destination router id → slot in `entries`.
-    index: HashMap<u32, usize>,
-    entries: Vec<CacheEntry>,
-    tick: u64,
-    cap: usize,
-    scratch: SpfScratch,
-    stats: SpfStats,
-}
-
-impl SpfCache {
-    /// Evicts least-recently-used entries until at most `cap` remain.
-    fn evict_to_cap(&mut self) {
-        while self.entries.len() > self.cap.max(1) {
-            let victim = self
-                .entries
-                .iter()
-                .enumerate()
-                .min_by_key(|(_, e)| e.last_used)
-                .map(|(i, _)| i)
-                .expect("cache non-empty");
-            let root = self.entries[victim].tree.root();
-            self.index.remove(&root);
-            self.entries.swap_remove(victim);
-            if victim < self.entries.len() {
-                let moved = self.entries[victim].tree.root();
-                self.index.insert(moved, victim);
-            }
-            self.stats.cache_evictions += 1;
-        }
-    }
-}
-
 /// A converged routing table for every router in a network.
 ///
 /// `Rib::compute` builds the failure-masked CSR router graph; SPF
@@ -101,13 +50,12 @@ pub struct Rib {
     lan_pairs: Vec<Vec<(u32, u32, [u32; 2])>>,
     /// The failure set currently masked into `graph`.
     applied: FailureSet,
-    /// Bumped once per applied failure delta batch.
-    generation: u64,
     /// Manual next-hop overrides: (from, dst_router) → forced next router.
     overrides: HashMap<(RouterId, RouterId), RouterId>,
-    /// Lazily-built per-destination trees (interior mutability: route
-    /// lookups are `&self` and shared across engine shards).
-    cache: Mutex<SpfCache>,
+    /// Destination router id → its shortest-path tree, built on first
+    /// lookup (interior mutability: route lookups are `&self` and
+    /// shared across engine shards).
+    trees: Mutex<HashMap<u32, SpfTree>>,
 }
 
 impl Rib {
@@ -154,9 +102,8 @@ impl Rib {
             link_slots,
             lan_pairs,
             applied: FailureSet::none(),
-            generation: 0,
             overrides: HashMap::new(),
-            cache: Mutex::new(SpfCache { cap: DEFAULT_CACHE_CAP, ..SpfCache::default() }),
+            trees: Mutex::new(HashMap::new()),
         };
         rib.mask_all(failures);
         rib.applied = failures.clone();
@@ -169,7 +116,7 @@ impl Rib {
     }
 
     /// Masks `failures` into the CSR graph (fresh-build path only —
-    /// there are no cached trees to repair yet).
+    /// there are no trees to repair yet).
     fn mask_all(&mut self, failures: &FailureSet) {
         for l in failures.failed_links() {
             if let Some(&slots) = self.link_slots.get(l.0 as usize) {
@@ -196,11 +143,10 @@ impl Rib {
 
     /// Applies a new failure state **incrementally**: the delta
     /// against the currently-applied set is masked in place and every
-    /// cached tree is patched (removals first, then restorations —
+    /// built tree is patched (removals first, then restorations —
     /// the order matters, since an improvement through a restored
     /// element must not be visible while detached subtrees reattach).
-    /// Overrides that reference failed elements are cleared; the
-    /// invalidation generation is bumped.
+    /// Overrides that reference failed elements are cleared.
     pub fn apply_failures(&mut self, target: &FailureSet) {
         // Diff the target against the applied set. Removals are masked
         // immediately; additions are only *collected* here and unmasked
@@ -260,17 +206,12 @@ impl Rib {
                 restored.push(r);
             }
         }
-        // Phase 1: repair every cached tree for the removals.
-        let cache = self.cache.get_mut().expect("rib cache poisoned");
+        // Phase 1: repair every built tree for the removals.
+        let trees = self.trees.get_mut().expect("rib trees poisoned");
+        let mut scratch = SpfScratch::new();
         if !removed_pairs.is_empty() || !downed.is_empty() {
-            for e in &mut cache.entries {
-                let touched = e.tree.repair_removals(
-                    &self.graph,
-                    &removed_pairs,
-                    &downed,
-                    &mut cache.scratch,
-                );
-                cache.stats.record_repair(touched);
+            for tree in trees.values_mut() {
+                tree.repair_removals(&self.graph, &removed_pairs, &downed, &mut scratch);
             }
         }
         // Phase 2: unmask the restorations, then propagate improvements.
@@ -281,18 +222,10 @@ impl Rib {
             for &r in &restored {
                 self.graph.set_node_up(r, true);
             }
-            for e in &mut cache.entries {
-                let touched = e.tree.repair_additions(
-                    &self.graph,
-                    &added_pairs,
-                    &restored,
-                    &mut cache.scratch,
-                );
-                cache.stats.record_repair(touched);
+            for tree in trees.values_mut() {
+                tree.repair_additions(&self.graph, &added_pairs, &restored, &mut scratch);
             }
         }
-        cache.stats.apply_batches += 1;
-        self.generation += 1;
         self.applied = target.clone();
         // Drop overrides that reference failed elements: either
         // endpoint router down, or no usable adjacency from → via
@@ -306,52 +239,17 @@ impl Rib {
         });
     }
 
-    /// The number of failure batches applied since construction — the
-    /// invalidation generation replay tooling records alongside
-    /// failure events.
-    pub fn generation(&self) -> u64 {
-        self.generation
-    }
-
-    /// Bounds the number of cached per-destination trees (≥ 1),
-    /// evicting least-recently-used trees immediately if over.
-    /// Results are unaffected — an evicted tree recomputes
-    /// identically — only memory/time trade off.
-    pub fn set_cache_capacity(&mut self, cap: usize) {
-        let cache = self.cache.get_mut().expect("rib cache poisoned");
-        cache.cap = cap.max(1);
-        cache.evict_to_cap();
-    }
-
-    /// Snapshot of the SPF counters (cache behaviour, repair economics).
-    pub fn spf_stats(&self) -> SpfStats {
-        self.cache.lock().expect("rib cache poisoned").stats.clone()
-    }
-
-    /// Runs `f` against the (cached or freshly computed) tree rooted
-    /// at `dst`, updating LRU state.
+    /// Runs `f` against the tree rooted at `dst`, building it on
+    /// first use.
     fn with_tree<R>(&self, dst: u32, f: impl FnOnce(&SpfTree) -> R) -> Option<R> {
         if dst as usize >= self.graph.node_count() {
             return None;
         }
-        let mut cache = self.cache.lock().expect("rib cache poisoned");
-        cache.tick += 1;
-        let tick = cache.tick;
-        if let Some(&i) = cache.index.get(&dst) {
-            cache.stats.cache_hits += 1;
-            cache.entries[i].last_used = tick;
-            return Some(f(&cache.entries[i].tree));
-        }
-        cache.stats.cache_misses += 1;
-        let tree = SpfTree::full(&self.graph, dst, &mut cache.scratch);
-        cache.stats.record_full(tree.reached());
-        cache.entries.push(CacheEntry { tree, last_used: tick });
-        let slot = cache.entries.len() - 1;
-        cache.index.insert(dst, slot);
-        cache.evict_to_cap();
-        // The fresh entry may have moved during eviction; look it up.
-        let i = *cache.index.get(&dst).expect("fresh entry never evicted first");
-        Some(f(&cache.entries[i].tree))
+        let mut trees = self.trees.lock().expect("rib trees poisoned");
+        let tree = trees
+            .entry(dst)
+            .or_insert_with(|| SpfTree::full(&self.graph, dst, &mut SpfScratch::new()));
+        Some(f(tree))
     }
 
     /// Forces `from`'s next hop toward `dst` to be `via`, regardless of
@@ -396,7 +294,7 @@ impl Rib {
                 // Route to the first attached (lowest-addressed) live
                 // router of the host's LAN.
                 let lan = net.hosts[h.0 as usize].lan;
-                *net.lans[lan.0 as usize].routers.first()?
+                *net.lans[lan.0 as usize].routers.iter().find(|r| self.graph.is_node_up(r.0))?
             }
         };
         if dst_router == from {
@@ -586,19 +484,16 @@ mod tests {
         failures.fail_link(cbt_topology::LinkId(0));
         failures.fail_router(f.router(7));
         inc.apply_failures(&failures);
-        assert_eq!(inc.generation(), 1);
+        let n = f.net.routers.len();
+        assert_eq!(inc.trees.lock().unwrap().len(), n, "warm trees are repaired, not dropped");
         let scratch = Rib::compute(&f.net, &failures);
         assert_tables_equal(&f.net, &inc, &scratch, "after failures");
         // Heal everything and fail a LAN in the same batch.
         let mut failures2 = FailureSet::none();
         failures2.fail_lan(f.subnet(4));
         inc.apply_failures(&failures2);
-        assert_eq!(inc.generation(), 2);
         let scratch2 = Rib::compute(&f.net, &failures2);
         assert_tables_equal(&f.net, &inc, &scratch2, "after heal + LAN fail");
-        let stats = inc.spf_stats();
-        assert!(stats.repairs > 0, "incremental repairs must have run");
-        assert_eq!(stats.apply_batches, 2);
     }
 
     #[test]
@@ -636,30 +531,38 @@ mod tests {
     }
 
     #[test]
-    fn lru_cache_bounds_memory_without_changing_results() {
-        let f = figure1();
-        let mut rib = Rib::converged(&f.net);
-        rib.set_cache_capacity(2);
-        let reference = Rib::converged(&f.net);
-        // Sweep all destinations twice: plenty of evictions, same answers.
-        for _ in 0..2 {
-            assert_tables_equal(&f.net, &rib, &reference, "bounded cache");
-        }
-        let stats = rib.spf_stats();
-        assert!(stats.cache_evictions > 0, "cap 2 must evict during a full sweep");
-        assert!(stats.full_runs > f.net.routers.len() as u64, "evicted trees recompute on demand");
-    }
-
-    #[test]
     fn trees_are_computed_on_demand_not_eagerly() {
         let f = figure1();
         let rib = Rib::converged(&f.net);
-        assert_eq!(rib.spf_stats().full_runs, 0, "construction computes nothing");
+        let built = |rib: &Rib| rib.trees.lock().unwrap().keys().copied().collect::<Vec<_>>();
+        assert!(built(&rib).is_empty(), "construction computes nothing");
         let _ = rib.next_router(f.router(1), f.router(4));
-        let s = rib.spf_stats();
-        assert_eq!(s.full_runs, 1, "one destination asked for, one tree built");
-        assert_eq!(s.cache_misses, 1);
+        assert_eq!(built(&rib), [f.router(4).0], "one destination asked for, one tree built");
         let _ = rib.dist(f.router(2), f.router(4));
-        assert_eq!(rib.spf_stats().cache_hits, 1, "second lookup reuses the tree");
+        assert_eq!(built(&rib), [f.router(4).0], "second lookup reuses the tree");
+    }
+
+    #[test]
+    fn route_to_host_skips_a_failed_first_lan_router() {
+        // LAN {R0, R1} with host H; R2 linked to both routers.
+        let mut b = NetworkBuilder::new();
+        let r0 = b.router("R0");
+        let r1 = b.router("R1");
+        let r2 = b.router("R2");
+        let lan = b.lan("S0");
+        b.attach(lan, r0);
+        b.attach(lan, r1);
+        let h = b.host("H", lan);
+        b.link(r2, r0, 1);
+        b.link(r2, r1, 1);
+        let net = b.build();
+        let host = net.host_addr(h);
+        assert_eq!(Rib::converged(&net).route(&net, r2, host).unwrap().router, r0);
+        let mut failures = FailureSet::none();
+        failures.fail_router(r0);
+        let rib = Rib::compute(&net, &failures);
+        let hop = rib.route(&net, r2, host).expect("R1 still serves the LAN");
+        assert_eq!(hop.router, r1);
+        assert_eq!(Some(hop), rib.route(&net, r2, net.router_addr(r1)));
     }
 }

@@ -123,6 +123,14 @@ impl CsrGraph {
         slot != NO_NODE && self.live[slot as usize]
     }
 
+    /// Overwrites this graph's slot and node liveness with `other`'s.
+    /// Both must share one adjacency (`self` a clone of `other`, or
+    /// the other way round, re-masked since).
+    pub fn copy_masks_from(&mut self, other: &CsrGraph) {
+        self.live.copy_from_slice(&other.live);
+        self.node_up.copy_from_slice(&other.node_up);
+    }
+
     /// Marks a node up or down in place.
     pub fn set_node_up(&mut self, node: u32, up: bool) {
         self.node_up[node as usize] = up;
@@ -141,7 +149,7 @@ impl CsrGraph {
 
     /// First slot index of node `u`. `slot − slot_base(u)` is `u`'s
     /// local interface number for that slot — the contract the netscale
-    /// world and the flat route tables share: interface `k` of `u` is
+    /// world and the fleet route table share: interface `k` of `u` is
     /// the `k`-th entry of `u`'s slot range, in CSR order.
     #[inline]
     pub fn slot_base(&self, u: u32) -> u32 {
