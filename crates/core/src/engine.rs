@@ -106,9 +106,11 @@ pub(crate) struct PendingQuit {
     pub next_send: SimTime,
 }
 
-/// Everything the engine schedules on the timer wheel. One key per
-/// independent deadline; re-arming a key supersedes its previous entry
-/// (generation counters inside [`TimerService`] make that O(1)).
+/// Everything the engine schedules on its timer service. One key per
+/// independent deadline; re-arming a key supersedes its previous one.
+/// The variant order is `on_timer`'s service order: keys due together
+/// are sorted by the derived `Ord`, so they run kind by kind, and by
+/// interface or group within a kind.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub(crate) enum TimerKind {
     /// IGMP querier election + membership presence on one LAN.
@@ -214,11 +216,10 @@ pub struct CbtRouter {
     pub(crate) next_child_sweep: SimTime,
     pub(crate) next_iff_scan: SimTime,
     /// Deadline-driven timer service (see [`TimerKind`]). Every state
-    /// removal outside a key's own service routine cancels the key, and
-    /// every mutating entry point ends with `compact`, so the wheel head
-    /// is always the earliest *valid* deadline and `next_wakeup` is
-    /// exact (the event loop's FIFO tie-break is part of the replay
-    /// contract).
+    /// removal outside a key's own service routine cancels the key, so
+    /// the index head is the earliest deadline some state still needs
+    /// and `next_wakeup` is exact (the event loop's FIFO tie-break is
+    /// part of the replay contract).
     pub(crate) timers: TimerService<TimerKind>,
     /// Parent address → groups currently parented through it. Keyed on
     /// address alone (a neighbour is one keepalive peer no matter how
@@ -284,36 +285,7 @@ impl CbtRouter {
                 );
             }
         }
-        let mut r = CbtRouter {
-            me,
-            id_addr: spec.addr,
-            my_addrs,
-            ifaces,
-            next_child_sweep: now + cfg.child_assert_interval,
-            next_iff_scan: now + cfg.iff_scan_interval,
-            cfg,
-            routes,
-            lans,
-            fib: Fib::new(),
-            pending: PendingJoins::new(),
-            pending_quits: BTreeMap::new(),
-            gdr: BTreeSet::new(),
-            proxy_handled: BTreeMap::new(),
-            core_knowledge: BTreeMap::new(),
-            local_members: BTreeSet::new(),
-            deferred_reattach: BTreeMap::new(),
-            reattach_started: BTreeMap::new(),
-            timers: TimerService::new(now),
-            parent_index: BTreeMap::new(),
-            child_expiry: BTreeSet::new(),
-            stats: RouterStats::default(),
-            obs: RouterObs::new(),
-            data_slot_memo: None,
-            scratch_ifaces: Vec::new(),
-            scratch_neighbors: Vec::new(),
-        };
-        r.boot_arm();
-        r
+        CbtRouter::boot(me, spec.addr, my_addrs, ifaces, lans, cfg, routes, now)
     }
 
     /// Builds an engine for a bare point-to-point router: `degree`
@@ -345,6 +317,22 @@ impl CbtRouter {
             })
             .collect();
         let my_addrs: BTreeSet<Addr> = [id_addr].into_iter().collect();
+        CbtRouter::boot(me, id_addr, my_addrs, ifaces, BTreeMap::new(), cfg, routes, now)
+    }
+
+    /// The constructor both public ones share: empty protocol state
+    /// around the given interfaces, then the boot-time timers.
+    #[allow(clippy::too_many_arguments)]
+    fn boot(
+        me: RouterId,
+        id_addr: Addr,
+        my_addrs: BTreeSet<Addr>,
+        ifaces: Vec<IfaceInfo>,
+        lans: BTreeMap<IfIndex, LanState>,
+        cfg: CbtConfig,
+        routes: Box<dyn RouteLookup>,
+        now: SimTime,
+    ) -> Self {
         let mut r = CbtRouter {
             me,
             id_addr,
@@ -354,7 +342,7 @@ impl CbtRouter {
             next_iff_scan: now + cfg.iff_scan_interval,
             cfg,
             routes,
-            lans: BTreeMap::new(),
+            lans,
             fib: Fib::new(),
             pending: PendingJoins::new(),
             pending_quits: BTreeMap::new(),
@@ -364,7 +352,7 @@ impl CbtRouter {
             local_members: BTreeSet::new(),
             deferred_reattach: BTreeMap::new(),
             reattach_started: BTreeMap::new(),
-            timers: TimerService::new(now),
+            timers: TimerService::new(),
             parent_index: BTreeMap::new(),
             child_expiry: BTreeSet::new(),
             stats: RouterStats::default(),
@@ -380,18 +368,33 @@ impl CbtRouter {
     /// Arms the boot-time timers. Under `compact_idle` the periodic
     /// maintenance clocks stay unarmed until the state they service
     /// exists: the child sweep is armed by the first tracked child
-    /// (see [`CbtRouter::track_child_expiry`]) and the IFF scan only
-    /// matters on routers with member LANs to re-check.
+    /// (see [`CbtRouter::track_child_expiry`]) and the IFF scan by
+    /// member LANs or a non-primary core role ([`CbtRouter::iff_scan_runs`]).
     fn boot_arm(&mut self) {
         if !self.cfg.compact_idle {
             self.timers.arm(TimerKind::ChildSweep, self.next_child_sweep);
         }
-        if !self.cfg.compact_idle || !self.lans.is_empty() {
+        if self.iff_scan_runs() {
             self.timers.arm(TimerKind::IffScan, self.next_iff_scan);
         }
         for iface in self.lan_ifaces() {
             self.arm_lan(iface);
         }
+    }
+
+    /// Does the IFF-scan clock run? Always, except on a compact-idle
+    /// router without LANs: it has no presence tables for the scan to
+    /// consult (local membership quits eagerly, `local_leave`), so its
+    /// clock runs only while it is a non-primary core for some group.
+    /// Such a core's parentless fragment relies on the scan to retry
+    /// the primary once its reconnect campaign gave up.
+    pub(crate) fn iff_scan_runs(&self) -> bool {
+        !self.cfg.compact_idle
+            || !self.lans.is_empty()
+            || self
+                .fib
+                .iter()
+                .any(|(_, e)| e.i_am_core && !e.cores.is_empty() && !self.i_am_primary(&e.cores))
     }
 
     // ------------------------------------------------------------------
@@ -658,7 +661,6 @@ impl CbtRouter {
                 self.on_echo_reply(now, iface, src, group, group_mask);
             }
         }
-        self.timers.compact();
         act
     }
 
@@ -702,9 +704,8 @@ impl CbtRouter {
             }
         }
         // Reports and Leaves move this LAN's presence deadlines (and a
-        // foreign query re-times the election): re-clock its wheel entry.
+        // foreign query re-times the election): re-clock its timer.
         self.arm_lan(iface);
-        self.timers.compact();
         act
     }
 
@@ -740,128 +741,102 @@ impl CbtRouter {
         }
     }
 
-    /// Advances every timer that has come due: pop the due entries,
-    /// bucket them by kind, then run seven phases in a fixed order,
-    /// each visiting only its due candidates.
+    /// Advances every timer that has come due: pop the due keys, sort
+    /// them by `TimerKind` (whose variant order is the phase order)
+    /// and service each in one pass.
     ///
-    /// Every candidate is re-checked against the authoritative state
-    /// (`pending`, `deferred_reattach`, the FIB…) before acting, so a
-    /// stale or early entry degenerates to a no-op (plus a lazy re-arm
-    /// where the true deadline moved later) and never acts early.
+    /// Every key is re-checked against the authoritative state
+    /// (`pending`, `deferred_reattach`, the FIB…) before acting, so an
+    /// entry whose state moved on degenerates to a no-op (plus a lazy
+    /// re-arm where the true deadline moved later) and never acts early.
     pub fn on_timer(&mut self, now: SimTime) -> Vec<RouterAction> {
         let mut act = Vec::new();
-        let mut lan_due: BTreeSet<IfIndex> = BTreeSet::new();
-        let mut reattach_due: BTreeSet<GroupId> = BTreeSet::new();
-        let mut join_due: BTreeSet<GroupId> = BTreeSet::new();
-        let mut echo_cand: BTreeSet<GroupId> = BTreeSet::new();
-        let mut quit_due: BTreeSet<GroupId> = BTreeSet::new();
-        let mut sweep_due = false;
-        let mut scan_due = false;
-        for (kind, deadline) in self.timers.pop_due_with_deadline(now) {
+        let mut due = self.timers.pop_due_with_deadline(now);
+        for &(_, deadline) in &due {
             // Wakeup lag: how far past its armed deadline each timer
             // actually fired. In the simulator this is 0 unless wakes
             // coalesce; under the live runtime it measures scheduling
             // latency.
             self.obs.timer_lag_us.record(now.since(deadline).micros());
+        }
+        due.sort_unstable_by_key(|&(kind, _)| kind);
+        let mut rest = &due[..];
+        while let Some(&(kind, _)) = rest.first() {
+            let mut served = 1;
             match kind {
-                TimerKind::Lan(i) => {
-                    lan_due.insert(i);
+                TimerKind::Lan(iface) => {
+                    // IGMP querier duty + presence expiry.
+                    if let Some(lan) = self.lans.get_mut(&iface) {
+                        let sends: Vec<IgmpOut> = lan.election.poll(now);
+                        let events = lan.presence.poll(now);
+                        for s in sends {
+                            act.push(RouterAction::SendIgmp { iface, dst: s.dst, msg: s.msg });
+                        }
+                        for ev in events {
+                            self.on_presence_event(now, iface, ev, &mut act);
+                        }
+                        self.arm_lan(iface);
+                    }
                 }
-                TimerKind::Reattach(g) => {
-                    reattach_due.insert(g);
+                TimerKind::Reattach(group) => {
+                    if self.deferred_reattach.get(&group).is_some_and(|(t, _)| *t <= now) {
+                        let (_, idx) = self.deferred_reattach.remove(&group).expect("checked");
+                        self.start_reattach(now, group, idx, &mut act);
+                    }
                 }
-                TimerKind::PendingJoin(g) => {
-                    join_due.insert(g);
+                TimerKind::PendingJoin(group) => {
+                    if self.pending.get(group).is_some_and(|p| p.next_deadline() <= now) {
+                        self.service_pending_join_group(now, group, &mut act);
+                    }
                 }
-                TimerKind::Echo(g) => {
-                    echo_cand.insert(g);
+                TimerKind::Echo(_) => {
+                    // Parent keepalives, the whole run at once so the
+                    // echoes batch (§8.4 aggregation groups by parent).
+                    served =
+                        rest.iter().take_while(|(k, _)| matches!(k, TimerKind::Echo(_))).count();
+                    self.service_keepalives(now, &rest[..served], &mut act);
                 }
-                TimerKind::Quit(g) => {
-                    quit_due.insert(g);
+                TimerKind::Quit(group) => {
+                    if self.pending_quits.get(&group).is_some_and(|q| q.next_send <= now) {
+                        self.service_pending_quit_group(now, group, &mut act);
+                    }
                 }
-                TimerKind::ChildSweep => sweep_due = true,
-                TimerKind::IffScan => scan_due = true,
+                TimerKind::ChildSweep => {
+                    // Cadence-gated. Under compact_idle the sweep re-arms
+                    // only while deadlines remain; the next tracked child
+                    // re-arms it (`track_child_expiry`).
+                    if now >= self.next_child_sweep {
+                        self.sweep_children(now, &mut act);
+                        self.next_child_sweep = now + self.cfg.child_assert_interval;
+                    }
+                    if !self.cfg.compact_idle || !self.child_expiry.is_empty() {
+                        self.timers.arm(TimerKind::ChildSweep, self.next_child_sweep);
+                    }
+                }
+                TimerKind::IffScan => {
+                    // The IFF scan, inherently a membership-wide pass.
+                    if now >= self.next_iff_scan {
+                        self.iff_scan(now, &mut act);
+                        self.next_iff_scan = now + self.cfg.iff_scan_interval;
+                    }
+                    if self.iff_scan_runs() {
+                        self.timers.arm(TimerKind::IffScan, self.next_iff_scan);
+                    }
+                }
             }
+            rest = &rest[served..];
         }
-        // Phase 1: IGMP querier duty + presence expiry per due LAN.
-        for iface in lan_due {
-            if !self.lans.contains_key(&iface) {
-                continue;
-            }
-            let (sends, events) = {
-                let lan = self.lans.get_mut(&iface).expect("checked");
-                let sends: Vec<IgmpOut> = lan.election.poll(now);
-                let events = lan.presence.poll(now);
-                (sends, events)
-            };
-            for s in sends {
-                act.push(RouterAction::SendIgmp { iface, dst: s.dst, msg: s.msg });
-            }
-            for ev in events {
-                self.on_presence_event(now, iface, ev, &mut act);
-            }
-            self.arm_lan(iface);
-        }
-        // Phase 2: deferred re-attachments.
-        for group in reattach_due {
-            if self.deferred_reattach.get(&group).is_some_and(|(t, _)| *t <= now) {
-                let (_, idx) = self.deferred_reattach.remove(&group).expect("checked");
-                self.start_reattach(now, group, idx, &mut act);
-            }
-        }
-        // Phase 3: pending-join retransmit/expiry.
-        for group in join_due {
-            if self.pending.get(group).is_some_and(|p| p.next_deadline() <= now) {
-                self.service_pending_join_group(now, group, &mut act);
-            }
-        }
-        // Phase 4: parent keepalives.
-        self.service_keepalives(now, echo_cand, &mut act);
-        // Phase 5: pending-quit retransmits.
-        for group in quit_due {
-            if self.pending_quits.get(&group).is_some_and(|q| q.next_send <= now) {
-                self.service_pending_quit_group(now, group, &mut act);
-            }
-        }
-        // Phase 6: child-liveness sweep (cadence-gated).
-        // Under compact_idle the sweep re-arms only while deadlines
-        // remain; the next tracked child re-arms it (`track_child_expiry`).
-        if sweep_due {
-            if now >= self.next_child_sweep {
-                self.sweep_children(now, &mut act);
-                self.next_child_sweep = now + self.cfg.child_assert_interval;
-            }
-            if !self.cfg.compact_idle || !self.child_expiry.is_empty() {
-                self.timers.arm(TimerKind::ChildSweep, self.next_child_sweep);
-            }
-        }
-        // Phase 7: the IFF scan (inherently a membership-wide pass).
-        // Compact-idle routers without LANs have no presence tables for
-        // the scan to consult — local membership quits eagerly instead
-        // (`local_leave`) — so the clock stays down.
-        if scan_due {
-            if now >= self.next_iff_scan {
-                self.iff_scan(now, &mut act);
-                self.next_iff_scan = now + self.cfg.iff_scan_interval;
-            }
-            if !self.cfg.compact_idle || !self.lans.is_empty() {
-                self.timers.arm(TimerKind::IffScan, self.next_iff_scan);
-            }
-        }
-        self.timers.compact();
         act
     }
 
-    /// Earliest instant any internal timer wants service: a peek at
-    /// the wheel head.
+    /// Earliest instant any internal timer wants service: the head of
+    /// the deadline index.
     ///
-    /// It is *exact*: every mutating entry point ends by compacting
-    /// stale entries off the head, and every state removal cancels its
-    /// key, so the head always carries the earliest valid deadline.
-    /// This matters beyond efficiency — `netsim` breaks same-instant
-    /// event ties in scheduling order, so a spurious early wake would
-    /// reshuffle a router against its peers and change the replayed
-    /// event stream.
+    /// It is *exact*: the index holds only armed deadlines, and every
+    /// state removal cancels its key. This matters beyond efficiency —
+    /// `netsim` breaks same-instant event ties in scheduling order, so
+    /// a spurious early wake would reshuffle a router against its peers
+    /// and change the replayed event stream.
     pub fn next_wakeup(&self) -> Option<SimTime> {
         self.timers.peek()
     }
@@ -870,7 +845,7 @@ impl CbtRouter {
     // Timer arming + index maintenance, shared by the protocol modules.
     // ------------------------------------------------------------------
 
-    /// (Re-)clocks a LAN's wheel entry from its election + presence
+    /// (Re-)clocks a LAN's timer from its election + presence
     /// deadlines. Called wherever those deadlines can change: after
     /// every `handle_igmp` and after each phase-1 poll.
     pub(crate) fn arm_lan(&mut self, iface: IfIndex) {
@@ -892,6 +867,22 @@ impl CbtRouter {
         self.timers.arm(TimerKind::Echo(group), d);
     }
 
+    /// Raises the IFF-scan clock when a compact-idle router without
+    /// LANs becomes a non-primary core (see
+    /// [`CbtRouter::iff_scan_runs`]); any other router's clock runs
+    /// from boot. A scan instant the stopped clock left in the past is
+    /// re-timed to one interval from now; a running clock is re-armed
+    /// at its own instant, which changes nothing.
+    pub(crate) fn raise_iff_scan(&mut self, now: SimTime) {
+        if !self.cfg.compact_idle || !self.lans.is_empty() {
+            return;
+        }
+        if self.next_iff_scan < now {
+            self.next_iff_scan = now + self.cfg.iff_scan_interval;
+        }
+        self.timers.arm(TimerKind::IffScan, self.next_iff_scan);
+    }
+
     /// Files a child-liveness deadline. Under `compact_idle` the first
     /// tracked deadline also raises the sweep clock, which `boot_arm`
     /// left down: the armed instant may already lie in the past (the
@@ -906,7 +897,7 @@ impl CbtRouter {
     }
 
     /// Defers a re-attachment, keeping any earlier deferral (the map's
-    /// `or_insert` semantics), and arms the wheel at the instant the
+    /// `or_insert` semantics), and arms its timer at the instant the
     /// map actually holds.
     pub(crate) fn defer_reattach(&mut self, group: GroupId, at: SimTime, core_index: usize) {
         let (t, _) = *self.deferred_reattach.entry(group).or_insert((at, core_index));
@@ -1197,6 +1188,78 @@ mod tests {
             "the unneeded branch is quit as soon as the ack lands"
         );
         assert!(!e.is_on_tree(g));
+    }
+
+    #[test]
+    fn timer_kind_order_is_the_service_phase_order() {
+        let (g1, g2) = (GroupId::numbered(1), GroupId::numbered(2));
+        let mut due = vec![
+            TimerKind::IffScan,
+            TimerKind::Echo(g2),
+            TimerKind::ChildSweep,
+            TimerKind::Quit(g1),
+            TimerKind::Echo(g1),
+            TimerKind::PendingJoin(g2),
+            TimerKind::Reattach(g1),
+            TimerKind::Lan(IfIndex(1)),
+            TimerKind::Lan(IfIndex(0)),
+        ];
+        due.sort();
+        assert_eq!(
+            due,
+            vec![
+                TimerKind::Lan(IfIndex(0)),
+                TimerKind::Lan(IfIndex(1)),
+                TimerKind::Reattach(g1),
+                TimerKind::PendingJoin(g2),
+                TimerKind::Echo(g1),
+                TimerKind::Echo(g2),
+                TimerKind::Quit(g1),
+                TimerKind::ChildSweep,
+                TimerKind::IffScan,
+            ],
+            "LAN duty, re-attachments, joins, keepalives, quits, sweep, scan"
+        );
+    }
+
+    #[test]
+    fn compact_secondary_core_fragment_retries_the_primary_at_scan_cadence() {
+        let g = GroupId::numbered(7);
+        let my = Addr::from_octets(10, 0, 0, 1);
+        let primary = Addr::from_octets(10, 0, 0, 99);
+        let via = Addr::from_octets(10, 0, 0, 2);
+        let cfg = CbtConfig { compact_idle: true, ..CbtConfig::default() }
+            .with_mapping(g, vec![primary, my]);
+        // The primary is unreachable when the member joins: this router
+        // serves as a parentless secondary core with no campaign running.
+        let mut e = p2p_engine(cfg, via, &[]);
+        e.local_join(SimTime::ZERO, g);
+        assert!(e.is_on_tree(g));
+        assert_eq!(e.parent_of(g), None);
+        assert!(!e.has_pending_join(g));
+
+        // Routing later reaches the primary; only the IFF scan retries it.
+        let hop = Hop { iface: IfIndex(0), router: RouterId(1), addr: via, dist: 1 };
+        e.routes = Box::new(BTreeMap::from([(primary, hop)]));
+        let scan = e.next_wakeup().expect("the fragment keeps the IFF scan armed");
+        assert_eq!(scan, SimTime::ZERO + e.cfg.iff_scan_interval);
+        let act = e.on_timer(scan);
+        assert!(
+            act.iter().any(|a| matches!(
+                a,
+                RouterAction::SendControl {
+                    msg: ControlMessage::JoinRequest { target_core, .. },
+                    ..
+                } if *target_core == primary
+            )),
+            "the scan relaunches the join toward the primary"
+        );
+        assert!(e.has_pending_join(g));
+        assert_eq!(
+            e.next_wakeup().map(|t| t > scan),
+            Some(true),
+            "the campaign and the next scan stay armed"
+        );
     }
 
     #[test]

@@ -98,7 +98,6 @@ impl CbtRouter {
             // path there is no IFF-scan retry; netscale callers supply
             // managed mappings up front.
         }
-        self.timers.compact();
         act
     }
 
@@ -109,7 +108,6 @@ impl CbtRouter {
         let mut act = Vec::new();
         if self.local_members.remove(&group) {
             self.maybe_quit(now, group, &mut act);
-            self.timers.compact();
         }
         act
     }
@@ -133,7 +131,11 @@ impl CbtRouter {
         if cores.is_empty() {
             return;
         }
-        if !self.i_am_primary(cores) && self.fib.get(group).unwrap().parent.is_none() {
+        if self.i_am_primary(cores) {
+            return;
+        }
+        self.raise_iff_scan(now);
+        if self.fib.get(group).unwrap().parent.is_none() {
             let primary = cores[0];
             if !self.pending.contains(group) {
                 let cores = cores.to_vec();

@@ -2,7 +2,7 @@
 //! request/reply between child and parent, optional aggregation, echo
 //! timeout → re-attachment, child-assert sweeps.
 
-use crate::engine::CbtRouter;
+use crate::engine::{CbtRouter, TimerKind};
 use crate::events::RouterAction;
 use cbt_netsim::SimTime;
 use cbt_topology::IfIndex;
@@ -11,18 +11,19 @@ use std::collections::{BTreeMap, BTreeSet};
 
 impl CbtRouter {
     /// Sends due echo requests and detects parent failures among the
-    /// due candidates. A candidate whose true deadline moved later (its
-    /// parent answered an echo since the entry was armed) is silently
-    /// re-armed.
+    /// due `Echo` keys (a run of `on_timer`'s sorted due list, so groups
+    /// ascend). A key whose true deadline moved later (its parent
+    /// answered an echo since the key was armed) is silently re-armed.
     pub(crate) fn service_keepalives(
         &mut self,
         now: SimTime,
-        candidates: BTreeSet<GroupId>,
+        due: &[(TimerKind, SimTime)],
         act: &mut Vec<RouterAction>,
     ) {
         let mut echo_due: Vec<(GroupId, IfIndex, Addr)> = Vec::new();
         let mut failed: Vec<GroupId> = Vec::new();
-        for g in candidates {
+        for &(kind, _) in due {
+            let TimerKind::Echo(g) = kind else { continue };
             let Some(p) = self.fib.get(g).and_then(|e| e.parent) else { continue };
             if now.since(p.last_reply) >= self.cfg.echo_timeout {
                 failed.push(g);
@@ -190,7 +191,7 @@ impl CbtRouter {
         for g in settled {
             self.reattach_started.remove(&g);
             // The keepalive deadline just moved later: re-clock the
-            // wheel entry so the next wake lands on it exactly.
+            // timer so the next wake lands on it exactly.
             self.arm_echo(g);
         }
     }

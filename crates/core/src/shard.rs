@@ -5,7 +5,7 @@
 //! partition key. [`ShardedRouter`] fronts `N` fully independent
 //! [`CbtRouter`] shards for one node: every group hashes to exactly one
 //! shard ([`shard_of`]), and that shard owns the group's FIB entry,
-//! pending-join state, timer-wheel entries and observability counters
+//! pending-join state, timers and observability counters
 //! outright. No state is shared between shards, so a deployment can pin
 //! one shard per core and the forward path crosses no locks.
 //!
@@ -24,7 +24,7 @@
 //! * Non-group housekeeping (decode-error drop counts, group-less
 //!   transit) lands on shard 0 by convention.
 //!
-//! `next_wakeup` is the min over per-shard wheel peeks; `on_timer`
+//! `next_wakeup` is the min over per-shard timer peeks; `on_timer`
 //! visits due shards in index order, which keeps multi-shard instants
 //! deterministic. Snapshots ([`ShardedRouter::stats`],
 //! [`ShardedRouter::obs_snapshot`]) merge across shards with the same
@@ -328,7 +328,7 @@ impl ShardedRouter {
         out
     }
 
-    /// Earliest wakeup across every local shard's wheel peek.
+    /// Earliest wakeup across every local shard's timer peek.
     pub fn next_wakeup(&self) -> Option<SimTime> {
         self.shards.iter().filter_map(|s| s.next_wakeup()).min()
     }
@@ -659,7 +659,7 @@ mod tests {
     /// The shard-merged snapshot equals the single-engine snapshot for
     /// the same (timer-free) event stream: joins, acks, data, leaves.
     /// Timer-driven events are deliberately absent — each shard runs
-    /// its own LAN/election replica, so wheel-driven housekeeping
+    /// its own LAN/election replica, so timer-driven housekeeping
     /// (general queries, sweeps) legitimately fires once per shard,
     /// while every group-scoped counter lands on exactly one shard and
     /// must sum back to the unsharded totals.

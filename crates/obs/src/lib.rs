@@ -11,7 +11,7 @@
 //!   keyed by [`CtlKind`]) for joins, acks, nacks, quits, echoes and
 //!   flush-tree traffic in both directions;
 //! * log2-bucketed **latency histograms** ([`Histogram`]) for join
-//!   round-trips and timer-wheel wakeup lag, in microseconds;
+//!   round-trips and timer wakeup lag, in microseconds;
 //! * a cheap [`RouterObs::snapshot`] producing an [`ObsSnapshot`] with
 //!   text and JSON exporters that `cbt-eval` embeds in its reports and
 //!   `cbtd` prints on demand.
@@ -444,7 +444,7 @@ pub struct RouterObs {
     pub groups: BTreeMap<u32, ProtocolCounters>,
     /// JOIN_REQUEST → JOIN_ACK round-trip, µs, at the joining router.
     pub join_rtt_us: Histogram,
-    /// Timer-wheel wakeup lag (fire time minus deadline), µs.
+    /// Timer wakeup lag (fire time minus deadline), µs.
     pub timer_lag_us: Histogram,
     /// Tree-invariant violations attributed to this router by the
     /// post-run checker (zero in a healthy run).
@@ -685,8 +685,7 @@ impl ObsSnapshot {
 ///
 /// Standalone and mergeable like every other counter set here; the
 /// netscale experiment (Impl-4) fills one and exports it next to
-/// [`ObsSnapshot`]s. The `cache_*` and `apply_batches` fields are kept
-/// so its JSON keeps its shape; nothing records them.
+/// [`ObsSnapshot`]s.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct SpfStats {
     /// Full single-destination SPF runs (cache misses + invalidations).
@@ -697,14 +696,6 @@ pub struct SpfStats {
     pub repairs: u64,
     /// Nodes touched across all incremental repairs.
     pub nodes_touched_incremental: u64,
-    /// Failure-delta batches applied in place.
-    pub apply_batches: u64,
-    /// On-demand tree cache hits.
-    pub cache_hits: u64,
-    /// On-demand tree cache misses.
-    pub cache_misses: u64,
-    /// LRU evictions from the tree cache.
-    pub cache_evictions: u64,
     /// Distribution of nodes touched per incremental repair.
     pub touched_per_repair: Histogram,
 }
@@ -734,10 +725,6 @@ impl SpfStats {
         self.nodes_settled_full += other.nodes_settled_full;
         self.repairs += other.repairs;
         self.nodes_touched_incremental += other.nodes_touched_incremental;
-        self.apply_batches += other.apply_batches;
-        self.cache_hits += other.cache_hits;
-        self.cache_misses += other.cache_misses;
-        self.cache_evictions += other.cache_evictions;
         self.touched_per_repair.merge(&other.touched_per_repair);
     }
 
@@ -747,17 +734,8 @@ impl SpfStats {
         let _ = write!(
             out,
             "{{\"full_runs\":{},\"nodes_settled_full\":{},\"repairs\":{},\
-             \"nodes_touched_incremental\":{},\"apply_batches\":{},\
-             \"cache_hits\":{},\"cache_misses\":{},\"cache_evictions\":{},\
-             \"touched_per_repair\":",
-            self.full_runs,
-            self.nodes_settled_full,
-            self.repairs,
-            self.nodes_touched_incremental,
-            self.apply_batches,
-            self.cache_hits,
-            self.cache_misses,
-            self.cache_evictions,
+             \"nodes_touched_incremental\":{},\"touched_per_repair\":",
+            self.full_runs, self.nodes_settled_full, self.repairs, self.nodes_touched_incremental,
         );
         json_histogram(&mut out, &self.touched_per_repair);
         out.push('}');
@@ -775,27 +753,21 @@ mod tests {
         a.record_full(100);
         a.record_repair(3);
         a.record_repair(5);
-        a.apply_batches = 1;
-        a.cache_hits = 7;
-        a.cache_misses = 2;
         assert_eq!(a.full_runs, 1);
         assert_eq!(a.repairs, 2);
         assert_eq!(a.nodes_touched_incremental, 8);
         let mut b = SpfStats::new();
         b.record_repair(10);
-        b.cache_evictions = 4;
         b.merge(&a);
         assert_eq!(b.repairs, 3);
         assert_eq!(b.nodes_touched_incremental, 18);
-        assert_eq!(b.cache_hits, 7);
-        assert_eq!(b.cache_evictions, 4);
+        assert_eq!(b.full_runs, 1);
         assert_eq!(b.touched_per_repair.count(), 3);
         let json = b.to_json();
         for key in [
             "\"full_runs\":1",
             "\"repairs\":3",
             "\"nodes_touched_incremental\":18",
-            "\"cache_evictions\":4",
             "\"touched_per_repair\":{\"count\":3",
         ] {
             assert!(json.contains(key), "missing {key} in {json}");
